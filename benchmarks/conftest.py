@@ -8,7 +8,10 @@ search objectives, the devices compared, the metrics reported — matches the
 paper.  Each module prints the regenerated rows/series and asserts the
 qualitative "shape" the paper reports.
 
-Generated tables are also written as CSV files under ``benchmarks/results/``.
+Generated tables are also written as CSV files under ``benchmarks/out/``,
+which git ignores, so running the harness leaves the working tree clean.  The
+committed ``benchmarks/results/*.csv`` are reference snapshots of earlier
+runs; copy a fresh table over its snapshot only on purpose.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from repro.nn.evaluation import evaluate_kfold, evaluate_single_fold
 from repro.nn.mlp import MLPSpec
 from repro.nn.training import TrainingConfig
 
-#: Directory where every benchmark writes its regenerated table as CSV.
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Git-ignored directory where every benchmark writes its regenerated table as CSV.
+RESULTS_DIR = Path(__file__).parent / "out"
 
 #: Sample-count scale applied to every synthetic dataset in the harness.
 DATASET_SCALES = {

@@ -30,7 +30,7 @@ from .callbacks import Callback, CallbackList, SearchHistory
 from .candidate import CandidateEvaluation
 from .crossover import CoDesignCrossover
 from .errors import SearchError
-from .fitness import FitnessEvaluator
+from .fitness import FitnessEvaluator, FitnessResult, ObjectiveBounds
 from .frontier import FrontierArchive
 from .genome import CoDesignGenome, CoDesignSearchSpace
 from .mutation import CoDesignMutator, MutationConfig
@@ -349,6 +349,7 @@ class EvolutionaryEngine:
         else:
             self.selection = get_selection(self.config.selection)
         self.history = SearchHistory()
+        self._bounds = ObjectiveBounds()
         self.frontier = frontier if frontier is not None else FrontierArchive(
             objectives=fitness.objectives,
             constraints=getattr(fitness, "constraints", ()),
@@ -483,9 +484,7 @@ class EvolutionaryEngine:
                     batch = in_flight.pop(future)
                     evaluations = future.result()
                     for genome, evaluation in zip(batch, evaluations):
-                        fitness = self.fitness.score(
-                            evaluation, reference=self._fitness_reference(population)
-                        )
+                        fitness = self._score_newcomer(evaluation, population)
                         self.callbacks.on_evaluation(evaluation, fitness, step)
                         population.add(
                             Individual(
@@ -543,20 +542,23 @@ class EvolutionaryEngine:
             self.frontier.updates > marker
         )
 
-    def _fitness_reference(self, population: Population) -> list[CandidateEvaluation]:
-        """The reference set newcomers are scored against.
+    def _score_newcomer(
+        self, evaluation: CandidateEvaluation, population: Population
+    ) -> FitnessResult:
+        """Score one newly evaluated candidate for admission.
 
-        Scalarizing evaluators keep the historical behaviour (the full
-        evaluation history).  Rank-encoding evaluators
-        (``population_relative``) must be scored against the current
-        population: a newcomer's front index within the whole history is not
-        comparable to the population-relative scores ``Population.add``
-        weighs it against, and would wrongly reject non-dominated offspring
-        late in a run.
+        Scalarizing evaluators normalize against the whole evaluation history
+        plus the newcomer; the running ``_bounds`` hold exactly that history's
+        min/max, so the cost does not grow with the run.  Rank-encoding
+        evaluators (``population_relative``) must be scored against the
+        current population: a newcomer's front index within the whole history
+        is not comparable to the population-relative scores
+        ``Population.add`` weighs it against, and would wrongly reject
+        non-dominated offspring late in a run.
         """
-        if getattr(self.fitness, "population_relative", False) and len(population):
-            return population.evaluations()
-        return self.history.evaluations()
+        if getattr(self.fitness, "population_relative", False):
+            return self.fitness.score(evaluation, reference=population.evaluations())
+        return self.fitness.score_against(evaluation, self._bounds)
 
     def _initialize_population_async(self, executor: ThreadPoolExecutor) -> Population:
         """Evaluate the whole initial population concurrently."""
@@ -601,9 +603,7 @@ class EvolutionaryEngine:
         for future in as_completed(futures):
             chunk = futures[future]
             for genome, evaluation in zip(chunk, future.result()):
-                fitness = self.fitness.score(
-                    evaluation, reference=self._fitness_reference(population)
-                )
+                fitness = self._score_newcomer(evaluation, population)
                 self.callbacks.on_evaluation(evaluation, fitness, len(population))
                 population.add(
                     Individual(
@@ -617,35 +617,6 @@ class EvolutionaryEngine:
         if len(population) < 2:
             raise SearchError("initial population has fewer than two members")
         return population
-
-    def _evaluate_concurrent(self, genome: CoDesignGenome) -> CandidateEvaluation:
-        """Worker-thread evaluation with single-flight caching.
-
-        Exactly one thread evaluates each unique genome; concurrent requests
-        for the same genome block on the cache's in-flight registry and share
-        the result (counted as cache hits).
-        """
-        cached, owner = self.cache.lookup_or_reserve(genome)
-        if not owner:
-            with self._stats_lock:
-                self.statistics.cache_hits += 1
-            return cached
-        try:
-            start = time.perf_counter()
-            try:
-                evaluation = self.evaluator(genome)
-            except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
-                evaluation = CandidateEvaluation(genome=genome, error=str(exc))
-            elapsed = time.perf_counter() - start
-            evaluation = self._stamp_elapsed(evaluation, elapsed)
-            with self._stats_lock:
-                self.statistics.models_evaluated += 1
-                self.statistics.total_evaluation_seconds += elapsed
-            self.cache.complete(genome, evaluation)
-            return evaluation
-        except BaseException:
-            self.cache.abandon(genome)
-            raise
 
     def _evaluate_concurrent_batch(
         self, genomes: list[CoDesignGenome]
@@ -819,7 +790,7 @@ class EvolutionaryEngine:
         self, genome: CoDesignGenome, step: int, population: Population
     ) -> Individual:
         evaluation = self._evaluate(genome)
-        fitness = self.fitness.score(evaluation, reference=self._fitness_reference(population))
+        fitness = self._score_newcomer(evaluation, population)
         self.callbacks.on_evaluation(evaluation, fitness, step)
         return Individual(genome=genome, evaluation=evaluation, fitness=fitness, birth_step=step)
 
@@ -864,7 +835,10 @@ class EvolutionaryEngine:
 
         Min-max normalization is population-relative, so after every insertion
         all members are rescored against the same reference — this keeps the
-        steady-state replacement decisions consistent.
+        steady-state replacement decisions consistent.  Each member's raw
+        values and vector are carried over; only the normalization is redone.
         """
-        results = self.fitness.score_population(population.evaluations())
+        results = self.fitness.score_population(
+            population.evaluations(), carried=[member.fitness for member in population]
+        )
         population.rescore(results)

@@ -23,8 +23,9 @@ This module provides the evaluators built on top of it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "parse_constraint",
     "FitnessObjective",
     "FitnessResult",
+    "ObjectiveBounds",
     "FitnessEvaluator",
     "ParetoRankingEvaluator",
 ]
@@ -93,17 +95,47 @@ class FitnessResult:
         return self.vector.feasible if self.vector is not None else np.isfinite(self.fitness)
 
 
+class ObjectiveBounds:
+    """Running min/max of every objective's finite raw values.
+
+    Folding values in one at a time keeps the first of equal values, exactly
+    like ``min``/``max`` over the whole list, so a candidate normalized
+    against running bounds gets the same float as one normalized against
+    the full reference list.  Objectives with no finite value seen yet have
+    no entry.
+    """
+
+    __slots__ = ("low", "high")
+
+    def __init__(self) -> None:
+        self.low: dict[str, float] = {}
+        self.high: dict[str, float] = {}
+
+    def observe(self, raw: dict[str, float]) -> None:
+        """Fold one candidate's raw objective values into the bounds."""
+        for name, value in raw.items():
+            if not math.isfinite(value):
+                continue
+            low = self.low.get(name)
+            if low is None or value < low:
+                self.low[name] = value
+            high = self.high.get(name)
+            if high is None or value > high:
+                self.high[name] = value
+
+
 class FitnessEvaluator:
     """Scalarizes multiple objectives for steady-state selection.
 
     The scalar fitness of a candidate is the weighted sum of its normalized
     objective values.  Objectives with a fixed ``scale`` are divided by that
-    scale; others are min-max normalized against the *reference population*
-    supplied to :meth:`score_population`, which keeps very differently scaled
-    objectives (accuracy in [0,1], throughput in the millions) comparable.
-    Minimized objectives contribute ``1 - normalized`` so that larger fitness
-    is always better.  Failed evaluations always receive ``-inf``, as do
-    candidates violating any feasibility ``constraint``.
+    scale; others are min-max normalized against the finite values of a
+    reference set (see :class:`ObjectiveBounds`), which keeps very
+    differently scaled objectives (accuracy in [0,1], throughput in the
+    millions) comparable.  Minimized objectives contribute
+    ``1 - normalized`` so that larger fitness is always better.  Failed
+    evaluations always receive ``-inf``, as do candidates violating any
+    feasibility ``constraint``.
     """
 
     #: Whether scalar scores are only comparable within one scored set.
@@ -124,11 +156,12 @@ class FitnessEvaluator:
             raise ConfigurationError(f"duplicate objective names in {names}")
         self.objectives = list(objectives)
         self.constraints = resolve_constraints(constraints)
+        self._names = tuple(names)
 
     @property
     def objective_names(self) -> list[str]:
         """Names of the configured objectives, in order."""
-        return [obj.name for obj in self.objectives]
+        return list(self._names)
 
     # -------------------------------------------------------------- scoring
     def raw_objectives(self, evaluation: CandidateEvaluation) -> dict[str, float]:
@@ -139,74 +172,73 @@ class FitnessEvaluator:
 
     def objective_vector(self, evaluation: CandidateEvaluation) -> ObjectiveVector:
         """The typed objective vector of one candidate (constraint-aware)."""
-        return self._vector_from_raw(evaluation, self.raw_objectives(evaluation))
+        return self._measure(evaluation)[1]
 
-    def _vector_from_raw(
-        self, evaluation: CandidateEvaluation, raw: dict[str, float]
-    ) -> ObjectiveVector:
-        """Build the vector from already-computed raw values (no re-evaluation)."""
-        raw_values = None
-        if not evaluation.failed:
-            raw_values = [raw[obj.name] for obj in self.objectives]
-        return build_objective_vector(
-            evaluation, self.objectives, self.constraints, raw_values=raw_values
-        )
+    def score_population(
+        self,
+        evaluations: list[CandidateEvaluation],
+        carried: Sequence[FitnessResult] | None = None,
+    ) -> list[FitnessResult]:
+        """Score every candidate against the population's own value ranges.
 
-    def score_population(self, evaluations: list[CandidateEvaluation]) -> list[FitnessResult]:
-        """Score every candidate against the population's own value ranges."""
-        if not evaluations:
-            return []
-        raw_matrix = [self.raw_objectives(evaluation) for evaluation in evaluations]
-        results: list[FitnessResult] = []
-        normalizers = self._normalizers(raw_matrix)
-        for evaluation, raw in zip(evaluations, raw_matrix):
-            vector = self._vector_from_raw(evaluation, raw)
-            if evaluation.failed or not vector.feasible:
-                results.append(
-                    FitnessResult(fitness=float("-inf"), objectives=raw, vector=vector)
-                )
-                continue
-            fitness = 0.0
-            for objective in self.objectives:
-                value = raw[objective.name]
-                normalized = normalizers[objective.name](value)
-                contribution = normalized if objective.maximize else 1.0 - normalized
-                fitness += objective.weight * contribution
-            results.append(FitnessResult(fitness=fitness, objectives=raw, vector=vector))
-        return results
+        ``carried`` holds one earlier result per evaluation (the members'
+        current fitness, when rescoring a population); its raw values and
+        vectors are reused, so only the normalization is redone.
+        """
+        previous = carried if carried is not None else [None] * len(evaluations)
+        measured = [
+            self._measure(evaluation, result)
+            for evaluation, result in zip(evaluations, previous, strict=True)
+        ]
+        bounds = ObjectiveBounds()
+        for raw, _vector in measured:
+            bounds.observe(raw)
+        return [self._scalarize(raw, vector, bounds) for raw, vector in measured]
 
     def score(self, evaluation: CandidateEvaluation, reference: list[CandidateEvaluation]) -> FitnessResult:
         """Score one candidate against a reference population (itself included)."""
-        population = list(reference)
-        if evaluation not in population:
-            population.append(evaluation)
-        results = self.score_population(population)
-        return results[population.index(evaluation)]
+        bounds = ObjectiveBounds()
+        for other in reference:
+            bounds.observe(self.raw_objectives(other))
+        return self.score_against(evaluation, bounds)
+
+    def score_against(self, evaluation: CandidateEvaluation, bounds: ObjectiveBounds) -> FitnessResult:
+        """Score a newcomer against running bounds, folding it in first.
+
+        With ``bounds`` accumulated over every earlier candidate this equals
+        :meth:`score` against that whole history, at a cost independent of
+        its length.
+        """
+        raw, vector = self._measure(evaluation)
+        bounds.observe(raw)
+        return self._scalarize(raw, vector, bounds)
 
     # --------------------------------------------------------------- helpers
-    def _normalizers(self, raw_matrix: list[dict[str, float]]) -> dict[str, Callable[[float], float]]:
-        normalizers: dict[str, Callable[[float], float]] = {}
+    def _measure(
+        self, evaluation: CandidateEvaluation, previous: FitnessResult | None = None
+    ) -> tuple[dict[str, float], ObjectiveVector]:
+        """Raw values and vector of one candidate, reusing ``previous``'s when it has them."""
+        if previous is not None and previous.vector is not None and previous.vector.names == self._names:
+            return previous.objectives, previous.vector
+        raw = self.raw_objectives(evaluation)
+        raw_values = None if evaluation.failed else [raw[name] for name in self._names]
+        vector = build_objective_vector(
+            evaluation, self.objectives, self.constraints, raw_values=raw_values
+        )
+        return raw, vector
+
+    def _scalarize(
+        self, raw: dict[str, float], vector: ObjectiveVector, bounds: ObjectiveBounds
+    ) -> FitnessResult:
+        if not vector.feasible:
+            # Failed evaluations always carry an infeasible vector.
+            return FitnessResult(fitness=float("-inf"), objectives=raw, vector=vector)
+        fitness = 0.0
         for objective in self.objectives:
-            if objective.scale > 0:
-                scale = objective.scale
-                normalizers[objective.name] = lambda value, s=scale: _clip01(value / s)
-                continue
-            values = [
-                row[objective.name]
-                for row in raw_matrix
-                if np.isfinite(row[objective.name])
-            ]
-            if not values:
-                normalizers[objective.name] = lambda value: 0.0
-                continue
-            low, high = min(values), max(values)
-            if high - low < 1e-12:
-                normalizers[objective.name] = lambda value: 0.5
-            else:
-                normalizers[objective.name] = (
-                    lambda value, lo=low, hi=high: _clip01((value - lo) / (hi - lo))
-                )
-        return normalizers
+            normalized = _normalize(objective, raw[objective.name], bounds)
+            contribution = normalized if objective.maximize else 1.0 - normalized
+            fitness += objective.weight * contribution
+        return FitnessResult(fitness=fitness, objectives=raw, vector=vector)
 
 
 class ParetoRankingEvaluator(FitnessEvaluator):
@@ -231,8 +263,23 @@ class ParetoRankingEvaluator(FitnessEvaluator):
     #: population, so the engine must score newcomers population-relative.
     population_relative = True
 
-    def score_population(self, evaluations: list[CandidateEvaluation]) -> list[FitnessResult]:
-        base = super().score_population(evaluations)
+    def score(self, evaluation: CandidateEvaluation, reference: list[CandidateEvaluation]) -> FitnessResult:
+        """Rank one candidate within a reference population (itself included)."""
+        population = list(reference)
+        if evaluation not in population:
+            population.append(evaluation)
+        results = self.score_population(population)
+        return results[population.index(evaluation)]
+
+    def score_against(self, evaluation: CandidateEvaluation, bounds: ObjectiveBounds) -> FitnessResult:
+        raise TypeError("rank-encoded fitness needs the scored set; use score()")
+
+    def score_population(
+        self,
+        evaluations: list[CandidateEvaluation],
+        carried: Sequence[FitnessResult] | None = None,
+    ) -> list[FitnessResult]:
+        base = super().score_population(evaluations, carried)
         scoreable = [i for i, e in enumerate(evaluations) if not e.failed]
         if not scoreable:
             return base
@@ -253,7 +300,20 @@ class ParetoRankingEvaluator(FitnessEvaluator):
         return results
 
 
+def _normalize(objective: ObjectiveSpec, value: float, bounds: ObjectiveBounds) -> float:
+    """One raw value on the [0, 1] scale the weighted sum adds up."""
+    if objective.scale > 0:
+        return _clip01(value / objective.scale)
+    low = bounds.low.get(objective.name)
+    if low is None:
+        return 0.0
+    high = bounds.high[objective.name]
+    if high - low < 1e-12:
+        return 0.5
+    return _clip01((value - low) / (high - low))
+
+
 def _clip01(value: float) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return 0.0
     return float(min(1.0, max(0.0, value)))

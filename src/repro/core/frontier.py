@@ -19,6 +19,8 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .callbacks import Callback
 from .candidate import CandidateEvaluation
 from .fitness import FitnessResult
@@ -90,7 +92,13 @@ class FrontierArchive(Callback):
         self.updates = 0
         self.evaluations_seen = 0
         self._best_accuracy = 0.0
+        self._names = tuple(spec.name for spec in self.objectives)
         self._members: dict[str, FrontierMember] = {}
+        # Members grouped by distinct canonical (maximization-form) vector;
+        # ``_matrix`` holds one row per group, in ``_points`` order, so a
+        # dominance check costs one array operation over distinct points.
+        self._points: dict[tuple[float, ...], list[str]] = {}
+        self._matrix = np.empty((0, len(self._names)))
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- callback
@@ -111,12 +119,7 @@ class FrontierArchive(Callback):
             The engine step the evaluation landed on (recorded in
             snapshots).
         """
-        vector = fitness.vector if fitness is not None else None
-        if vector is not None and tuple(vector.names) != tuple(
-            spec.name for spec in self.objectives
-        ):
-            vector = None  # scored under different objectives; rebuild below
-        self.observe(evaluation, step=step, vector=vector)
+        self.observe(evaluation, step=step, vector=fitness.vector if fitness is not None else None)
 
     # -------------------------------------------------------------- updates
     def observe(
@@ -148,7 +151,7 @@ class FrontierArchive(Callback):
             self.evaluations_seen += 1
             if evaluation.failed:
                 return False
-            if vector is None:
+            if vector is None or vector.names != self._names:
                 vector = build_objective_vector(evaluation, self.objectives, self.constraints)
             if not vector.feasible:
                 return False
@@ -158,15 +161,27 @@ class FrontierArchive(Callback):
             key = evaluation.genome.cache_key()
             if key in self._members:
                 return False
-            if any(member.vector.dominates(vector) for member in self._members.values()):
-                return False
-            dominated = [
-                existing_key
-                for existing_key, member in self._members.items()
-                if vector.dominates(member.vector)
-            ]
-            for existing_key in dominated:
-                del self._members[existing_key]
+            point = vector.canonical
+            group = self._points.get(point)
+            if group is None:
+                # A point equal to a member's is neither dominated nor
+                # dominating, so only a new distinct point is compared.
+                # Feasible vectors only: constrained dominance is plain
+                # Pareto dominance on the canonical values.
+                row = np.asarray(point, dtype=float)
+                matrix = self._matrix
+                if ((matrix >= row).all(axis=1) & (matrix > row).any(axis=1)).any():
+                    return False
+                dominated = (row >= matrix).all(axis=1) & (row > matrix).any(axis=1)
+                if dominated.any():
+                    points = list(self._points)
+                    for index in np.flatnonzero(dominated):
+                        for stale in self._points.pop(points[index]):
+                            del self._members[stale]
+                    matrix = matrix[~dominated]
+                self._points[point] = group = []
+                self._matrix = np.vstack([matrix, row])
+            group.append(key)
             self._members[key] = FrontierMember(evaluation=evaluation, vector=vector)
             self.updates += 1
             self.snapshots.append(

@@ -209,9 +209,15 @@ class CoDesignGenome:
         The ECAD system "caches similar configurations and avoids reevaluating
         them" (Table III note); the key is a SHA-256 over the canonical JSON
         form, so any two genomes with identical parameters collide on purpose.
+        The genome is immutable, so the key is computed once and kept on the
+        instance (outside the dataclass fields: ``==`` and ``hash`` ignore it).
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def with_mlp(self, mlp: MLPGenome) -> "CoDesignGenome":
         """Return a copy with a different network half."""

@@ -218,7 +218,8 @@ class ObjectiveSpec:
     scale: float = 0.0
 
     def __post_init__(self) -> None:
-        get_objective(self.name)  # validate eagerly
+        # Resolved once: the registry lookup is too slow for the scoring loop.
+        object.__setattr__(self, "_function", get_objective(self.name))
         if self.weight <= 0:
             raise ConfigurationError(f"objective weight must be positive, got {self.weight}")
         if self.scale < 0:
@@ -226,7 +227,7 @@ class ObjectiveSpec:
 
     def raw_value(self, evaluation: CandidateEvaluation) -> float:
         """The raw objective value for one candidate."""
-        return float(get_objective(self.name)(evaluation))
+        return float(self._function(evaluation))
 
     @classmethod
     def accuracy(cls, weight: float = 1.0) -> "ObjectiveSpec":
@@ -282,7 +283,7 @@ class Constraint:
     bound: float
 
     def __post_init__(self) -> None:
-        get_objective(self.objective)  # validate eagerly
+        object.__setattr__(self, "_function", get_objective(self.objective))
         if self.op not in _CONSTRAINT_OPS:
             raise ConfigurationError(
                 f"unknown constraint operator {self.op!r}; allowed: {', '.join(_CONSTRAINT_OPS)}"
@@ -291,7 +292,7 @@ class Constraint:
 
     def value(self, evaluation: CandidateEvaluation) -> float:
         """The raw constrained-objective value of one candidate."""
-        return float(get_objective(self.objective)(evaluation))
+        return float(self._function(evaluation))
 
     def satisfied(self, value: float) -> bool:
         """Whether a raw value meets the bound."""

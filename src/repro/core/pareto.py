@@ -81,6 +81,10 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return at_least_as_good and strictly_better
 
 
+#: Elements per pairwise-comparison block in :func:`pareto_frontier_indices`.
+_PAIRWISE_BLOCK = 1 << 22
+
+
 def pareto_frontier_indices(points: Sequence[Sequence[float]]) -> list[int]:
     """Indices of the non-dominated points (maximization in every objective).
 
@@ -94,19 +98,37 @@ def pareto_frontier_indices(points: Sequence[Sequence[float]]) -> list[int]:
     list[int]
         Indices into ``points`` of the non-dominated members, in input
         order.  Duplicates of a frontier point are all kept (none dominates
-        the other).
+        the other), and a point with a NaN value neither dominates nor is
+        dominated (every comparison with NaN is false, as in
+        :func:`dominates`).
+
+    Raises
+    ------
+    ValueError
+        When the vectors have different lengths.
     """
-    vectors = [tuple(float(v) for v in point) for point in points]
-    frontier: list[int] = []
-    for i, candidate in enumerate(vectors):
-        dominated = False
-        for j, other in enumerate(vectors):
-            if i != j and dominates(other, candidate):
-                dominated = True
-                break
-        if not dominated:
-            frontier.append(i)
-    return frontier
+    rows = [[float(v) for v in point] for point in points]
+    if not rows:
+        return []
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("objective vectors have different lengths")
+    matrix = np.asarray(rows, dtype=float).reshape(len(rows), len(rows[0]))
+    # Rows with a NaN take part in no dominance.  The rest are compared as
+    # distinct points only: equal points share one verdict.
+    comparable = ~np.isnan(matrix).any(axis=1)
+    distinct, group = np.unique(matrix[comparable], axis=0, return_inverse=True)
+    dominated = np.zeros(len(distinct), dtype=bool)
+    # All pairs at once, in row blocks so memory stays bounded:
+    # block[i, j] compares candidate i against every distinct point j.
+    step = max(1, _PAIRWISE_BLOCK // max(distinct.size, 1))
+    for start in range(0, len(distinct), step):
+        block = distinct[start : start + step, None, :]
+        at_least_as_good = (distinct[None, :, :] >= block).all(axis=2)
+        strictly_better = (distinct[None, :, :] > block).any(axis=2)
+        dominated[start : start + step] = (at_least_as_good & strictly_better).any(axis=1)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[comparable] = ~dominated[group.reshape(-1)]
+    return np.flatnonzero(keep).tolist()
 
 
 def pareto_frontier(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:

@@ -27,7 +27,7 @@ from .candidate import CandidateEvaluation
 from .config import ECADConfig
 from .engine import EngineConfig, EngineResult, EvolutionaryEngine, RunStatistics
 from .errors import ConfigurationError
-from .fitness import Constraint, FitnessEvaluator, FitnessObjective
+from .fitness import Constraint, FitnessEvaluator, FitnessObjective, ObjectiveBounds
 from .frontier import FrontierArchive
 from .genome import CoDesignGenome, CoDesignSearchSpace
 from .pareto import ParetoPoint, evaluation_frontier, top_tradeoff_points
@@ -416,8 +416,9 @@ class RandomSearch:
             evaluations = self._evaluate_serial(genomes, statistics)
 
         extra_callbacks = CallbackList(self.callbacks)
+        bounds = ObjectiveBounds()
         for step, evaluation in enumerate(evaluations):
-            fitness = self.fitness.score(evaluation, reference=evaluations[: step + 1])
+            fitness = self.fitness.score_against(evaluation, bounds)
             history.on_evaluation(evaluation, fitness, step)
             archive.observe(evaluation, step=step, vector=fitness.vector)
             extra_callbacks.on_evaluation(evaluation, fitness, step)

@@ -4,8 +4,8 @@
 search found, how long it took, and whether it succeeded — written to disk
 as soon as the cell finishes so a partially-completed grid can be resumed.
 :class:`ExperimentReport` aggregates the artifacts of a whole grid and
-exports them as JSON and as a flat CSV alongside the benchmark tables in
-``benchmarks/results``.
+exports them as JSON and as a flat CSV, the same table format the benchmark
+harness writes to ``benchmarks/out``.
 """
 
 from __future__ import annotations

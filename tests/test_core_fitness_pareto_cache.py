@@ -12,6 +12,7 @@ from repro.core.errors import ConfigurationError, SearchError
 from repro.core.fitness import (
     FitnessEvaluator,
     FitnessObjective,
+    FitnessResult,
     available_objectives,
     get_objective,
     register_objective,
@@ -462,3 +463,284 @@ class TestSelection:
         population = Population(capacity=2)
         with pytest.raises(SearchError):
             TournamentSelection().select(population, rng)
+
+
+# ---------------------------------------------------------------------------
+# Exact equivalence of the O(1) bookkeeping with the all-history originals
+# ---------------------------------------------------------------------------
+
+
+def _legacy_score(evaluator, evaluation, reference):
+    """The original reference-list ``score``: normalize against every value."""
+    population = list(reference)
+    if evaluation not in population:
+        population.append(evaluation)
+    rows = [evaluator.raw_objectives(e) for e in population]
+    row = rows[population.index(evaluation)]
+    vector = evaluator.objective_vector(evaluation)
+    if evaluation.failed or not vector.feasible:
+        return float("-inf")
+    fitness = 0.0
+    for objective in evaluator.objectives:
+        value = row[objective.name]
+        if objective.scale > 0:
+            normalized = _legacy_clip01(value / objective.scale)
+        else:
+            values = [r[objective.name] for r in rows if np.isfinite(r[objective.name])]
+            if not values:
+                normalized = 0.0
+            elif max(values) - min(values) < 1e-12:
+                normalized = 0.5
+            else:
+                low, high = min(values), max(values)
+                normalized = _legacy_clip01((value - low) / (high - low))
+        fitness += objective.weight * (normalized if objective.maximize else 1.0 - normalized)
+    return fitness
+
+
+def _legacy_clip01(value):
+    if not np.isfinite(value):
+        return 0.0
+    return float(min(1.0, max(0.0, value)))
+
+
+def _legacy_frontier_indices(points):
+    """The original all-pairs Python loop of ``pareto_frontier_indices``."""
+    vectors = [tuple(float(v) for v in point) for point in points]
+    frontier = []
+    for i, candidate in enumerate(vectors):
+        if not any(i != j and dominates(other, candidate) for j, other in enumerate(vectors)):
+            frontier.append(i)
+    return frontier
+
+
+def _random_history(seed: int, count: int = 60) -> list[CandidateEvaluation]:
+    """Seeded evaluations mixing failures, missing FPGA metrics and ties."""
+    rng = np.random.default_rng(seed)
+    history = []
+    for index in range(count):
+        genome = _genome(neurons=int(rng.choice([8, 16, 32, 64])), rows=int(rng.choice([2, 4, 8])))
+        draw = rng.random()
+        if draw < 0.1:
+            history.append(CandidateEvaluation(genome=genome, error=f"boom {index}"))
+            continue
+        # No FPGA metrics -> fpga_latency is inf and fpga_throughput is 0.
+        fpga = 0.0 if draw < 0.25 else float(rng.choice([1e5, 5e5, 2e6, float(rng.uniform(1e4, 1e7))]))
+        accuracy = float(rng.choice([0.5, 0.75, float(rng.uniform(0.4, 0.99))]))
+        history.append(make_fake_evaluation(genome, accuracy=accuracy, fpga_outputs=fpga, gpu_outputs=1e6))
+    return history
+
+
+def _mixed_evaluator() -> FitnessEvaluator:
+    return FitnessEvaluator(
+        [
+            FitnessObjective.accuracy(weight=2.0),  # scale > 0
+            FitnessObjective.fpga_throughput(),
+            FitnessObjective(name="fpga_latency", maximize=False, weight=0.5),  # minimized, inf
+            FitnessObjective(name="gpu_throughput"),  # constant over the history
+            FitnessObjective(name="parameter_count", maximize=False),
+        ],
+        constraints=["accuracy>=0.55"],  # some candidates are infeasible
+    )
+
+
+class TestRunningBoundsEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_running_bounds_equal_reference_list_scoring(self, seed):
+        from repro.core.fitness import ObjectiveBounds
+
+        evaluator = _mixed_evaluator()
+        history = _random_history(seed)
+        bounds = ObjectiveBounds()
+        for step, evaluation in enumerate(history):
+            running = evaluator.score_against(evaluation, bounds)
+            listed = evaluator.score(evaluation, history[:step])
+            legacy = _legacy_score(evaluator, evaluation, history[:step])
+            assert running.fitness == listed.fitness == legacy
+            if not evaluation.failed:
+                assert running.objectives == listed.objectives
+                assert running.vector == listed.vector
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_repeated_candidates_score_like_the_reference_list(self, seed):
+        from repro.core.fitness import ObjectiveBounds
+
+        evaluator = _mixed_evaluator()
+        history = _random_history(seed, count=30)
+        history = history + history[::3]  # cache hits re-enter the same record
+        bounds = ObjectiveBounds()
+        for step, evaluation in enumerate(history):
+            assert evaluator.score_against(evaluation, bounds).fitness == _legacy_score(
+                evaluator, evaluation, history[:step]
+            )
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_carried_rescoring_equals_fresh_scoring(self, seed):
+        evaluator = _mixed_evaluator()
+        population = _random_history(seed, count=24)
+        fresh = evaluator.score_population(population)
+        carried = evaluator.score_population(population, carried=fresh)
+        assert [r.fitness for r in carried] == [r.fitness for r in fresh]
+        assert [r.vector for r in carried] == [r.vector for r in fresh]
+        # Results without a vector (hand-built) are measured afresh.
+        bare = [FitnessResult(fitness=0.0) for _ in population]
+        assert [r.fitness for r in evaluator.score_population(population, carried=bare)] == [
+            r.fitness for r in fresh
+        ]
+
+    def test_engine_history_fitness_matches_reference_list_scoring(
+        self, small_search_space, fake_evaluator
+    ):
+        from repro.core.engine import EngineConfig, EvolutionaryEngine
+
+        fitness = FitnessEvaluator(
+            [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+        )
+        engine = EvolutionaryEngine(
+            space=small_search_space,
+            evaluator=fake_evaluator,
+            fitness=fitness,
+            config=EngineConfig(population_size=6, max_evaluations=60, seed=3),
+        )
+        result = engine.run()
+        evaluations = result.history.evaluations()
+        for step, record in enumerate(result.history.records):
+            assert record.fitness.fitness == _legacy_score(
+                fitness, record.evaluation, evaluations[:step]
+            )
+
+    def test_rank_evaluator_rejects_running_bounds(self):
+        from repro.core.fitness import ObjectiveBounds, ParetoRankingEvaluator
+
+        evaluator = ParetoRankingEvaluator([FitnessObjective.accuracy()])
+        with pytest.raises(TypeError):
+            evaluator.score_against(make_fake_evaluation(_genome(), accuracy=0.5), ObjectiveBounds())
+
+
+class TestVectorizedFrontier:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_all_pairs_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = 1 + seed % 4
+        count = int(rng.integers(1, 80))
+        # A small value grid forces ties and exact duplicates.
+        points = rng.integers(0, 4, size=(count, dims)).astype(float)
+        special = rng.random((count, dims))
+        points[special < 0.05] = np.nan
+        points[(special >= 0.05) & (special < 0.08)] = np.inf
+        points[(special >= 0.08) & (special < 0.1)] = -np.inf
+        rows = [tuple(row) for row in points]
+        assert pareto_frontier_indices(rows) == _legacy_frontier_indices(rows)
+
+    def test_duplicates_ties_and_nan_kept(self):
+        nan = float("nan")
+        points = [(1, 2), (2, 1), (1, 2), (1, 1), (nan, 9), (2, 1), (0, 0)]
+        assert pareto_frontier_indices(points) == [0, 1, 2, 4, 5]
+        assert pareto_frontier_indices(points) == _legacy_frontier_indices(points)
+
+    def test_edge_shapes(self):
+        assert pareto_frontier_indices([]) == []
+        assert pareto_frontier_indices([(3.0,)]) == [0]
+        with pytest.raises(ValueError):
+            pareto_frontier_indices([(1, 2), (1,)])
+
+    def test_blocked_comparison_matches_single_block(self, monkeypatch):
+        from repro.core import pareto
+
+        rng = np.random.default_rng(11)
+        rows = [tuple(r) for r in rng.integers(0, 6, size=(50, 3)).astype(float)]
+        expected = pareto.pareto_frontier_indices(rows)
+        monkeypatch.setattr(pareto, "_PAIRWISE_BLOCK", 7)
+        assert pareto.pareto_frontier_indices(rows) == expected
+
+
+class TestGroupedFrontierArchive:
+    @staticmethod
+    def _legacy_archive(offers):
+        """The original archive update: a Python loop over every member."""
+        members, updates = {}, 0
+        for key, vector in offers:
+            if not vector.feasible or key in members:
+                continue
+            if any(member.dominates(vector) for member in members.values()):
+                continue
+            for stale in [k for k, member in members.items() if vector.dominates(member)]:
+                del members[stale]
+            members[key] = vector
+            updates += 1
+        order = sorted(members, key=lambda k: members[k].canonical[0], reverse=True)
+        return order, updates
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_member_by_member_loop(self, seed):
+        from repro.core.frontier import FrontierArchive
+        from repro.core.objectives import ObjectiveVector
+
+        rng = np.random.default_rng(seed)
+        specs = [FitnessObjective.accuracy(), FitnessObjective(name="fpga_latency", maximize=False)]
+        names = tuple(spec.name for spec in specs)
+        archive = FrontierArchive(objectives=specs)
+        offers = []
+        for index in range(150):
+            # Small value grid: many exact ties; some inf latencies.
+            values = (float(rng.integers(0, 5)) / 4, float(rng.choice([1.0, 2.0, 3.0, np.inf])))
+            vector = ObjectiveVector(
+                names=names, values=values, maximize=(True, False), feasible=rng.random() > 0.1
+            )
+            # Revisit earlier genomes now and then, like cache hits do.
+            neurons = int(rng.integers(1, index + 1)) if index and rng.random() < 0.2 else index + 1
+            evaluation = make_fake_evaluation(_genome(neurons), accuracy=0.5)
+            offers.append((evaluation.genome.cache_key(), vector))
+            archive.observe(evaluation, step=index, vector=vector)
+        order, updates = self._legacy_archive(offers)
+        assert [m.evaluation.genome.cache_key() for m in archive.members()] == order
+        assert archive.updates == updates
+
+
+class TestMemoizedCacheKey:
+    @staticmethod
+    def _fresh_key(genome: CoDesignGenome) -> str:
+        import hashlib
+        import json
+
+        canonical = json.dumps(genome.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def test_key_is_computed_once_and_correct(self):
+        genome = _genome(24)
+        key = genome.cache_key()
+        assert key == self._fresh_key(genome)
+        assert genome.cache_key() is key
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        keyed, plain = _genome(24), _genome(24)
+        keyed.cache_key()
+        assert keyed == plain and hash(keyed) == hash(plain)
+        assert {keyed: 1}[plain] == 1
+        assert "_cache_key" not in repr(keyed)
+
+    def test_survives_pickle(self):
+        import pickle
+
+        genome = _genome(32, rows=8)
+        key = genome.cache_key()
+        restored = pickle.loads(pickle.dumps(genome))
+        assert restored == genome and hash(restored) == hash(genome)
+        assert restored.cache_key() == key == self._fresh_key(restored)
+        unkeyed = pickle.loads(pickle.dumps(_genome(32, rows=8)))
+        assert unkeyed.cache_key() == key
+
+    def test_survives_evaluation_json_round_trip(self):
+        from repro.store.serialize import dumps, loads
+
+        evaluation = make_fake_evaluation(_genome(16, rows=2), accuracy=0.8, fpga_outputs=3e5)
+        key = evaluation.genome.cache_key()
+        restored = loads(dumps(evaluation))
+        assert restored.genome == evaluation.genome
+        assert restored.genome.cache_key() == key
+
+    def test_derived_genomes_get_their_own_key(self):
+        genome = _genome(16)
+        genome.cache_key()
+        wider = genome.with_mlp(MLPGenome(hidden_layers=(64,), activations=("relu",)))
+        assert wider.cache_key() == self._fresh_key(wider) != genome.cache_key()
