@@ -10,7 +10,7 @@ The cache is an in-memory LRU map from the genome's canonical hash to its
 statistics because the run-time table (Table III) distinguishes the number of
 models *generated* from the number actually *evaluated*.
 
-The cache is thread-safe, and for the asynchronous evaluation pipeline it
+The cache is thread-safe, and for the engine's evaluation pipeline it
 keeps an **in-flight registry**: :meth:`lookup_or_reserve` lets exactly one
 caller own the fresh evaluation of a genome while concurrent callers asking
 for the same genome block until that one evaluation completes, instead of
@@ -56,12 +56,16 @@ class CacheStatistics:
 
 
 class _InFlightTicket:
-    """One pending evaluation: waiters block on the event, the owner publishes."""
+    """One pending evaluation: waiters block on the event, the owner publishes.
+
+    The first waiter creates the event, under the cache lock, so an
+    uncontended reservation never allocates one.
+    """
 
     __slots__ = ("event", "evaluation")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.event: threading.Event | None = None
         self.evaluation: CandidateEvaluation | None = None
 
 
@@ -138,7 +142,10 @@ class EvaluationCache:
                     self.statistics.misses += 1
                     self._in_flight[key] = _InFlightTicket()
                     return None, True
-            ticket.event.wait()
+                if ticket.event is None:
+                    ticket.event = threading.Event()
+                event = ticket.event
+            event.wait()
             published = ticket.evaluation
             if published is not None:
                 with self._lock:
@@ -157,7 +164,8 @@ class EvaluationCache:
         with self._lock:
             self._store_locked(key, evaluation)
             ticket = self._in_flight.pop(key, None)
-        if ticket is not None:
+        # Popped under the lock, so no waiter can still be creating the event.
+        if ticket is not None and ticket.event is not None:
             ticket.evaluation = evaluation
             ticket.event.set()
 
@@ -165,7 +173,7 @@ class EvaluationCache:
         """Release a reservation without a result (owner crashed); waiters retry."""
         with self._lock:
             ticket = self._in_flight.pop(genome.cache_key(), None)
-        if ticket is not None:
+        if ticket is not None and ticket.event is not None:
             ticket.event.set()
 
     @property
@@ -205,7 +213,8 @@ class EvaluationCache:
             self._entries.clear()
             self.statistics = CacheStatistics()
         for ticket in tickets:
-            ticket.event.set()
+            if ticket.event is not None:
+                ticket.event.set()
 
     def values(self) -> list[CandidateEvaluation]:
         """All cached evaluations, least-recently-used first."""

@@ -22,17 +22,20 @@ __all__ = ["Callback", "CallbackList", "SearchHistory", "ProgressLogger"]
 class Callback:
     """Base class for engine callbacks; all hooks are optional no-ops.
 
-    Dispatch guarantees (both the serial and the asynchronous steady-state
-    engine paths):
+    Dispatch guarantees (every engine configuration):
 
     * every hook fires on the engine's coordinating thread, never on an
       evaluation worker thread, so callbacks need no locking of their own;
     * ``on_evaluation`` fires exactly once per generated candidate (cache
-      hits included), in *completion* order — on the asynchronous path that
-      order may differ from generation order;
-    * each ``on_evaluation`` is followed by the matching ``on_step_end``
-      (with a strictly increasing step) before the next candidate's hooks,
-      except for the initial population, which fires ``on_evaluation`` only.
+      hits included), before the next offspring is bred; steady-state
+      offspring fire in *completion* order, which with
+      ``eval_parallelism > 1`` may differ from breed order, while the
+      initial population and each generation fire in breed order;
+    * in steady-state mode each ``on_evaluation`` is followed by the
+      matching ``on_step_end`` (with a strictly increasing step) before the
+      next candidate's hooks; the initial population fires
+      ``on_evaluation`` only, and a generation fires one ``on_step_end``
+      after all its offspring.
     """
 
     def on_search_start(self, population: Population) -> None:

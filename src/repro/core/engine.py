@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +30,7 @@ from .callbacks import Callback, CallbackList, SearchHistory
 from .candidate import CandidateEvaluation
 from .crossover import CoDesignCrossover
 from .errors import SearchError
-from .fitness import FitnessEvaluator, FitnessResult, ObjectiveBounds
+from .fitness import FitnessEvaluator, ObjectiveBounds
 from .frontier import FrontierArchive
 from .genome import CoDesignGenome, CoDesignSearchSpace
 from .mutation import CoDesignMutator, MutationConfig
@@ -83,19 +83,18 @@ class EngineConfig:
         Stop early when the best fitness has not improved for this many
         steps; ``0`` disables early stopping.
     eval_parallelism:
-        Maximum number of candidate evaluations kept in flight at once.
-        ``1`` (the default) runs the original, bit-for-bit reproducible
-        serial steady-state loop; larger values switch the steady-state
-        search to the asynchronous batched pipeline (offspring are generated
-        in windows, dispatched concurrently, and inserted in completion
-        order).
+        Maximum number of dispatched chunks in flight at once.  Every
+        candidate goes through one evaluation pipeline; ``1`` (the default)
+        is a window of one chunk evaluated inline on the calling thread —
+        the paper's serial steady-state loop, bit-for-bit reproducible for
+        a fixed seed.  Larger values evaluate chunks on a thread pool of
+        that size and insert steady-state offspring in completion order.
     eval_batch_size:
-        Number of offspring bred and dispatched together as one evaluator
-        call.  ``1`` (the default) keeps per-candidate dispatch; larger
-        values let a batch-capable evaluator (``evaluate_batch``, e.g. the
-        master fanning out fused-GEMM workers) amortize training and
-        hardware-model work across the batch.  Any value above 1 routes the
-        steady-state search through the asynchronous pipeline.
+        Number of genomes bred and dispatched together as one chunk.  ``1``
+        (the default) keeps per-candidate dispatch; larger values let a
+        batch-capable evaluator (``evaluate_batch``, e.g. the master fanning
+        out fused-GEMM workers) amortize training and hardware-model work
+        across the chunk.
     """
 
     population_size: int = 24
@@ -302,7 +301,7 @@ class EvolutionaryEngine:
     frontier:
         Streaming Pareto-frontier archive; when omitted one is created over
         the fitness evaluator's objectives (and constraints).  It is updated
-        through the callback bus on both the serial and asynchronous paths.
+        through the callback bus as evaluations land.
     initial_genomes:
         Genomes to seed the initial population with (warm-start from the
         persistent evaluation store).  They are consumed before any random
@@ -364,164 +363,117 @@ class EvolutionaryEngine:
     def run(self) -> EngineResult:
         """Execute the search and return the final population, history and stats.
 
-        With ``eval_parallelism=1`` (the default) this is the paper's serial
-        steady-state loop, bit-for-bit reproducible for a fixed seed.  With
-        ``eval_parallelism > 1`` the steady-state search runs as an
-        asynchronous batched pipeline that keeps up to that many candidate
-        evaluations in flight; ``eval_batch_size > 1`` additionally fuses
-        offspring into batch evaluator calls on that pipeline.
+        Every candidate, initial or bred, goes through one evaluation
+        pipeline: genomes are bred on the calling thread and dispatched in
+        chunks of ``eval_batch_size``, with at most ``eval_parallelism``
+        chunks in flight.  Steady-state offspring land in completion order,
+        ties in submission order, so a window of one (evaluated inline) is
+        the paper's serial steady-state loop, bit-for-bit reproducible for a
+        fixed seed.  Generational mode breeds a whole generation against the
+        unchanged population, evaluates it behind a barrier, scores it in
+        breed order at one step, then replaces the population elitistically.
         """
-        if self.config.steady_state and (
-            self.config.eval_parallelism > 1 or self.config.eval_batch_size > 1
-        ):
-            return self._run_async()
+        config = self.config
+        statistics = self.statistics
         start_time = time.perf_counter()
-        self.statistics.peak_in_flight = 1
-        population = self._initialize_population()
-        self.callbacks.on_search_start(population)
-
-        step = len(population)
-        stagnation = 0
-        best_fitness = population.best.fitness_value
-        frontier_marker = self.frontier.updates
-
-        while self.statistics.models_generated < self.config.max_evaluations:
-            if self.config.steady_state:
-                inserted = self._steady_state_step(population, step)
-            else:
-                inserted = self._generational_step(population, step)
-            step += 1
-            self.callbacks.on_step_end(population, step)
-
-            if population.best.fitness_value > best_fitness + 1e-12:
-                best_fitness = population.best.fitness_value
-                stagnation = 0
-            elif self._frontier_progressed(frontier_marker):
-                stagnation = 0
-            else:
-                stagnation += 1
-            frontier_marker = self.frontier.updates
-            if (
-                self.config.max_stagnation_steps > 0
-                and stagnation >= self.config.max_stagnation_steps
-            ):
-                break
-            if not inserted and not self.config.steady_state:
-                break
-
-        self.statistics.wall_clock_seconds = time.perf_counter() - start_time
-        self._record_frontier_statistics()
-        self.callbacks.on_search_end(population)
-        return EngineResult(
-            population=population,
-            history=self.history,
-            statistics=self.statistics,
-            frontier=self.frontier,
-        )
-
-    # ------------------------------------------------------- async pipeline
-    def _run_async(self) -> EngineResult:
-        """Asynchronous steady-state search with a bounded in-flight window.
-
-        Offspring are generated (on the main thread, preserving the RNG
-        stream) in windows of at most ``eval_parallelism``, dispatched to a
-        thread pool, and inserted into the population in *completion* order.
-        Offspring generation dedups against both the population and the
-        genomes currently in flight; the evaluation cache's in-flight
-        registry additionally coalesces concurrent duplicates so each unique
-        genome is evaluated at most once.
-        """
-        start_time = time.perf_counter()
-        executor = ThreadPoolExecutor(
-            max_workers=self.config.eval_parallelism, thread_name_prefix="ecad-eval"
-        )
+        executor = None
+        if config.eval_parallelism > 1:
+            executor = ThreadPoolExecutor(
+                max_workers=config.eval_parallelism, thread_name_prefix="ecad-eval"
+            )
         try:
-            population = self._initialize_population_async(executor)
+            population = self._initialize_population(executor)
             self.callbacks.on_search_start(population)
 
             step = len(population)
             stagnation = 0
             best_fitness = population.best.fitness_value
             frontier_marker = self.frontier.updates
-            in_flight: dict[Future, list[CoDesignGenome]] = {}
-            stop_generating = False
+            stopped = False
 
-            while True:
+            def end_step() -> None:
+                nonlocal step, stagnation, best_fitness, frontier_marker, stopped
+                step += 1
+                self.callbacks.on_step_end(population, step)
+                if population.best.fitness_value > best_fitness + 1e-12:
+                    best_fitness = population.best.fitness_value
+                    stagnation = 0
+                elif self._frontier_progressed(frontier_marker):
+                    stagnation = 0
+                else:
+                    stagnation += 1
+                frontier_marker = self.frontier.updates
+                # Stop breeding; candidates already in flight still land.
+                stopped = stopped or 0 < config.max_stagnation_steps <= stagnation
+
+            def land(genomes: list[CoDesignGenome], evaluations: list[CandidateEvaluation]) -> None:
+                for genome, evaluation in zip(genomes, evaluations):
+                    population.add(self._wrap_landed(genome, evaluation, step, population))
+                    self._rescore(population)
+                    end_step()
+
+            in_flight: dict[Future, list[CoDesignGenome]] = {}
+            while in_flight or (
+                not stopped and statistics.models_generated < config.max_evaluations
+            ):
+                if not config.steady_state:
+                    # One generation, bred against the unchanged population,
+                    # evaluated behind a barrier and scored in breed order.
+                    count = min(
+                        config.population_size,
+                        config.max_evaluations - statistics.models_generated,
+                    )
+                    genomes = [self._make_offspring(population) for _ in range(count)]
+                    statistics.models_generated += count
+                    offspring = [
+                        self._wrap_landed(genome, evaluation, step, population)
+                        for genome, evaluation in zip(
+                            genomes, self._evaluate_all(genomes, executor)
+                        )
+                    ]
+                    # Elitism: keep the best parent.
+                    population.members = [population.best, *offspring][: config.population_size]
+                    self._rescore(population)
+                    end_step()
+                    continue
                 while (
-                    not stop_generating
-                    and len(in_flight) < self.config.eval_parallelism
-                    and self.statistics.models_generated < self.config.max_evaluations
+                    not stopped
+                    and len(in_flight) < config.eval_parallelism
+                    and statistics.models_generated < config.max_evaluations
                 ):
-                    pending_keys = {
-                        genome.cache_key()
-                        for batch in in_flight.values()
-                        for genome in batch
-                    }
+                    pending = {genome.cache_key() for chunk in in_flight.values() for genome in chunk}
                     chunk: list[CoDesignGenome] = []
                     while (
-                        len(chunk) < self.config.eval_batch_size
-                        and self.statistics.models_generated < self.config.max_evaluations
+                        len(chunk) < config.eval_batch_size
+                        and statistics.models_generated < config.max_evaluations
                     ):
-                        genome = self._make_offspring(population, in_flight_keys=pending_keys)
-                        if genome is None:
-                            stop_generating = True
-                            break
-                        self.statistics.models_generated += 1
-                        pending_keys.add(genome.cache_key())
+                        genome = self._make_offspring(population, pending)
+                        pending.add(genome.cache_key())
                         chunk.append(genome)
-                    if not chunk:
-                        break
-                    in_flight[executor.submit(self._evaluate_concurrent_batch, chunk)] = chunk
-                    self.statistics.peak_in_flight = max(
-                        self.statistics.peak_in_flight,
-                        sum(len(batch) for batch in in_flight.values()),
+                        statistics.models_generated += 1
+                    statistics.peak_in_flight = max(
+                        statistics.peak_in_flight,
+                        len(chunk) + sum(map(len, in_flight.values())),
                     )
-                if not in_flight:
-                    break
-
-                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    batch = in_flight.pop(future)
-                    evaluations = future.result()
-                    for genome, evaluation in zip(batch, evaluations):
-                        fitness = self._score_newcomer(evaluation, population)
-                        self.callbacks.on_evaluation(evaluation, fitness, step)
-                        population.add(
-                            Individual(
-                                genome=genome,
-                                evaluation=evaluation,
-                                fitness=fitness,
-                                birth_step=step,
-                            )
-                        )
-                        self._rescore(population)
-                        step += 1
-                        self.callbacks.on_step_end(population, step)
-
-                        if population.best.fitness_value > best_fitness + 1e-12:
-                            best_fitness = population.best.fitness_value
-                            stagnation = 0
-                        elif self._frontier_progressed(frontier_marker):
-                            stagnation = 0
-                        else:
-                            stagnation += 1
-                        frontier_marker = self.frontier.updates
-                        if (
-                            self.config.max_stagnation_steps > 0
-                            and stagnation >= self.config.max_stagnation_steps
-                        ):
-                            # Stop breeding; candidates already in flight still land.
-                            stop_generating = True
+                    if executor is None:
+                        land(chunk, self._evaluate_chunk(chunk))
+                    else:
+                        in_flight[executor.submit(self._evaluate_chunk, chunk)] = chunk
+                if in_flight:
+                    wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in [future for future in in_flight if future.done()]:
+                        land(in_flight.pop(future), future.result())
         finally:
-            executor.shutdown(wait=True)
+            if executor is not None:
+                executor.shutdown(wait=True)
 
-        self.statistics.wall_clock_seconds = time.perf_counter() - start_time
+        statistics.wall_clock_seconds = time.perf_counter() - start_time
         self._record_frontier_statistics()
         self.callbacks.on_search_end(population)
         return EngineResult(
             population=population,
             history=self.history,
-            statistics=self.statistics,
+            statistics=statistics,
             frontier=self.frontier,
         )
 
@@ -542,10 +494,14 @@ class EvolutionaryEngine:
             self.frontier.updates > marker
         )
 
-    def _score_newcomer(
-        self, evaluation: CandidateEvaluation, population: Population
-    ) -> FitnessResult:
-        """Score one newly evaluated candidate for admission.
+    def _wrap_landed(
+        self,
+        genome: CoDesignGenome,
+        evaluation: CandidateEvaluation,
+        step: int,
+        population: Population,
+    ) -> Individual:
+        """Score one landed evaluation, announce it, and wrap it for admission.
 
         Scalarizing evaluators normalize against the whole evaluation history
         plus the newcomer; the running ``_bounds`` hold exactly that history's
@@ -557,127 +513,11 @@ class EvolutionaryEngine:
         non-dominated offspring late in a run.
         """
         if getattr(self.fitness, "population_relative", False):
-            return self.fitness.score(evaluation, reference=population.evaluations())
-        return self.fitness.score_against(evaluation, self._bounds)
-
-    def _initialize_population_async(self, executor: ThreadPoolExecutor) -> Population:
-        """Evaluate the whole initial population concurrently."""
-        population = Population(capacity=self.config.population_size)
-        genomes: list[CoDesignGenome] = []
-        keys: set[str] = set()
-        for genome in self._warm_start_pool():
-            if self.statistics.models_generated >= self.config.max_evaluations:
-                break
-            keys.add(genome.cache_key())
-            genomes.append(genome)
-            self.statistics.models_generated += 1
-            self.statistics.warm_start_seeds += 1
-        attempts = 0
-        max_attempts = self.config.population_size * 20
-        while (
-            len(genomes) < self.config.population_size
-            and self.statistics.models_generated < self.config.max_evaluations
-        ):
-            attempts += 1
-            if attempts > max_attempts:
-                raise SearchError(
-                    "failed to build a feasible initial population; "
-                    "check the search space against the target device"
-                )
-            genome = self.space.random_genome(self._rng, device=self.device)
-            if self.config.avoid_duplicate_genomes and genome.cache_key() in keys:
-                continue
-            keys.add(genome.cache_key())
-            genomes.append(genome)
-            self.statistics.models_generated += 1
-
-        chunk_size = self.config.eval_batch_size
-        chunks = [genomes[i : i + chunk_size] for i in range(0, len(genomes), chunk_size)]
-        futures = {
-            executor.submit(self._evaluate_concurrent_batch, chunk): chunk for chunk in chunks
-        }
-        self.statistics.peak_in_flight = max(
-            self.statistics.peak_in_flight,
-            min(len(genomes), self.config.eval_parallelism * chunk_size),
-        )
-        for future in as_completed(futures):
-            chunk = futures[future]
-            for genome, evaluation in zip(chunk, future.result()):
-                fitness = self._score_newcomer(evaluation, population)
-                self.callbacks.on_evaluation(evaluation, fitness, len(population))
-                population.add(
-                    Individual(
-                        genome=genome,
-                        evaluation=evaluation,
-                        fitness=fitness,
-                        birth_step=len(population),
-                    )
-                )
-                self._rescore(population)
-        if len(population) < 2:
-            raise SearchError("initial population has fewer than two members")
-        return population
-
-    def _evaluate_concurrent_batch(
-        self, genomes: list[CoDesignGenome]
-    ) -> list[CandidateEvaluation]:
-        """Evaluate a chunk of genomes as one fused call, in input order.
-
-        Cache hits are resolved individually (and counted as such); the
-        remaining fresh genomes go through the evaluator's ``evaluate_batch``
-        when it has one, or a per-genome loop otherwise.  Each fresh
-        candidate is stored in the cache under its own key, so downstream
-        cache/store semantics are identical to per-candidate dispatch, and
-        per-candidate ``evaluation_seconds`` is the chunk wall clock split
-        evenly.
-        """
-        results: list[CandidateEvaluation | None] = [None] * len(genomes)
-        fresh: list[tuple[int, CoDesignGenome]] = []
-        for index, genome in enumerate(genomes):
-            cached, owner = self.cache.lookup_or_reserve(genome)
-            if not owner:
-                with self._stats_lock:
-                    self.statistics.cache_hits += 1
-                results[index] = cached
-                continue
-            fresh.append((index, genome))
-        if not fresh:
-            return results  # type: ignore[return-value]
-
-        fresh_genomes = [genome for _index, genome in fresh]
-        try:
-            start = time.perf_counter()
-            try:
-                batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
-                if batch_evaluate is not None and len(fresh_genomes) > 1:
-                    evaluations = list(batch_evaluate(fresh_genomes))
-                else:
-                    evaluations = [self.evaluator(genome) for genome in fresh_genomes]
-                if len(evaluations) != len(fresh_genomes):
-                    raise SearchError(
-                        "batch evaluator returned "
-                        f"{len(evaluations)} evaluations for {len(fresh_genomes)} genomes"
-                    )
-            except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
-                evaluations = [
-                    CandidateEvaluation(genome=genome, error=str(exc))
-                    for genome in fresh_genomes
-                ]
-            elapsed = time.perf_counter() - start
-            per_candidate = elapsed / len(fresh_genomes)
-            with self._stats_lock:
-                self.statistics.models_evaluated += len(fresh_genomes)
-                self.statistics.total_evaluation_seconds += elapsed
-            for (index, genome), evaluation in zip(fresh, evaluations):
-                evaluation = self._stamp_elapsed(evaluation, per_candidate)
-                self.cache.complete(genome, evaluation)
-                results[index] = evaluation
-        except BaseException:
-            for index, genome in fresh:
-                if results[index] is None:
-                    self.cache.abandon(genome)
-            raise
-        return results  # type: ignore[return-value]
+            fitness = self.fitness.score(evaluation, reference=population.evaluations())
+        else:
+            fitness = self.fitness.score_against(evaluation, self._bounds)
+        self.callbacks.on_evaluation(evaluation, fitness, step)
+        return Individual(genome=genome, evaluation=evaluation, fitness=fitness, birth_step=step)
 
     # ------------------------------------------------------------ internals
     def _warm_start_pool(self) -> list[CoDesignGenome]:
@@ -702,72 +542,40 @@ class EvolutionaryEngine:
             pool.append(genome)
         return pool
 
-    def _initialize_population(self) -> Population:
-        population = Population(capacity=self.config.population_size)
-        for genome in self._warm_start_pool():
-            if (
-                len(population) >= self.config.population_size
-                or self.statistics.models_generated >= self.config.max_evaluations
-            ):
-                break
-            individual = self._evaluate_and_wrap(genome, step=len(population), population=population)
-            population.add(individual)
-            self._rescore(population)
-            self.statistics.warm_start_seeds += 1
+    def _initialize_population(self, executor: ThreadPoolExecutor | None) -> Population:
+        """Draw the initial genomes, warm-start seeds first, and admit them in draw order."""
+        genomes = self._warm_start_pool()
+        self.statistics.warm_start_seeds = len(genomes)
+        keys = {genome.cache_key() for genome in genomes}
         attempts = 0
-        max_attempts = self.config.population_size * 20
-        while len(population) < self.config.population_size:
-            if self.statistics.models_generated >= self.config.max_evaluations:
-                break
+        while len(genomes) < self.config.population_size:
             attempts += 1
-            if attempts > max_attempts:
+            if attempts > self.config.population_size * 20:
                 raise SearchError(
                     "failed to build a feasible initial population; "
                     "check the search space against the target device"
                 )
             genome = self.space.random_genome(self._rng, device=self.device)
-            if self.config.avoid_duplicate_genomes and population.contains_genome(genome):
+            if self.config.avoid_duplicate_genomes and genome.cache_key() in keys:
                 continue
-            individual = self._evaluate_and_wrap(genome, step=len(population), population=population)
-            population.add(individual)
+            keys.add(genome.cache_key())
+            genomes.append(genome)
+        self.statistics.models_generated += len(genomes)
+        population = Population(capacity=self.config.population_size)
+        for genome, evaluation in zip(genomes, self._evaluate_all(genomes, executor)):
+            population.add(self._wrap_landed(genome, evaluation, len(population), population))
             self._rescore(population)
-        if len(population) < 2:
-            raise SearchError("initial population has fewer than two members")
         return population
-
-    def _steady_state_step(self, population: Population, step: int) -> bool:
-        genome = self._make_offspring(population)
-        if genome is None:
-            return False
-        individual = self._evaluate_and_wrap(genome, step, population=population)
-        population.add(individual)
-        self._rescore(population)
-        return True
-
-    def _generational_step(self, population: Population, step: int) -> bool:
-        """Replace the whole population each step (ablation mode)."""
-        offspring: list[Individual] = []
-        budget = self.config.max_evaluations - self.statistics.models_generated
-        count = min(self.config.population_size, budget)
-        if count <= 0:
-            return False
-        for _ in range(count):
-            genome = self._make_offspring(population)
-            if genome is None:
-                continue
-            offspring.append(self._evaluate_and_wrap(genome, step, population=population))
-        if not offspring:
-            return False
-        # Elitism: keep the best parent.
-        survivors = [population.best, *offspring]
-        survivors = survivors[: self.config.population_size]
-        population.members = survivors
-        self._rescore(population)
-        return True
 
     def _make_offspring(
         self, population: Population, in_flight_keys: set[str] | None = None
-    ) -> CoDesignGenome | None:
+    ) -> CoDesignGenome:
+        """Breed one offspring; the breeding hook subclasses may override.
+
+        With ``avoid_duplicate_genomes`` the offspring is kept out of the
+        population and ``in_flight_keys``; after 20 tries a random genome is
+        drawn instead, without that check.
+        """
         for _ in range(20):
             if self._rng.random() < self.config.crossover_probability and len(population) >= 2:
                 parent_a, parent_b = self.selection.select_pair(population, self._rng)
@@ -786,31 +594,98 @@ class EvolutionaryEngine:
         # Give up on uniqueness and explore randomly instead.
         return self.space.random_genome(self._rng, device=self.device)
 
-    def _evaluate_and_wrap(
-        self, genome: CoDesignGenome, step: int, population: Population
-    ) -> Individual:
-        evaluation = self._evaluate(genome)
-        fitness = self._score_newcomer(evaluation, population)
-        self.callbacks.on_evaluation(evaluation, fitness, step)
-        return Individual(genome=genome, evaluation=evaluation, fitness=fitness, birth_step=step)
+    # ----------------------------------------------------------- evaluation
+    def _evaluate_all(
+        self, genomes: list[CoDesignGenome], executor: ThreadPoolExecutor | None
+    ) -> list[CandidateEvaluation]:
+        """Evaluate a fixed list of genomes through the window, behind a barrier.
 
-    def _evaluate(self, genome: CoDesignGenome) -> CandidateEvaluation:
-        self.statistics.models_generated += 1
-        cached = self.cache.lookup(genome)
-        if cached is not None:
-            self.statistics.cache_hits += 1
-            return cached
-        start = time.perf_counter()
+        The chunks run inline, or on the executor's ``eval_parallelism``
+        threads; the evaluations come back in input order.
+        """
+        size = self.config.eval_batch_size
+        chunks = [genomes[index : index + size] for index in range(0, len(genomes), size)]
+        self.statistics.peak_in_flight = max(
+            self.statistics.peak_in_flight,
+            min(len(genomes), self.config.eval_parallelism * size),
+        )
+        evaluate = map if executor is None else executor.map
+        return [evaluation for batch in evaluate(self._evaluate_chunk, chunks) for evaluation in batch]
+
+    def _evaluate_chunk(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
+        """Evaluate one dispatched chunk of genomes, in input order.
+
+        Each distinct genome goes through the cache's single-flight
+        ``lookup_or_reserve``: hits, including genomes another chunk has in
+        flight, count as cache hits.  A genome repeated within the chunk takes
+        a cache copy of its first occurrence and counts as a cache hit too; it
+        must not reserve again, or it would wait on its own ticket.
+        Reservations are taken in cache-key order, so two chunks holding the
+        same genomes can never wait on each other.
+
+        The fresh genomes go to the evaluator's ``evaluate_batch`` when it has
+        one and there is more than one of them, otherwise one call each.  An
+        evaluator exception fails every fresh genome of the chunk.  Each fresh
+        result is published under its own key with the chunk's wall clock
+        split evenly, so cache and store see what per-candidate dispatch
+        would have produced.
+        """
+        keys = [genome.cache_key() for genome in genomes]
+        results: list[CandidateEvaluation | None] = [None] * len(genomes)
+        first: dict[str, int] = {}
+        repeats: list[tuple[int, int]] = []
+        fresh: list[int] = []
+        elapsed = 0.0
         try:
-            evaluation = self.evaluator(genome)
-        except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
-            evaluation = CandidateEvaluation(genome=genome, error=str(exc))
-        elapsed = time.perf_counter() - start
-        evaluation = self._stamp_elapsed(evaluation, elapsed)
-        self.statistics.models_evaluated += 1
-        self.statistics.total_evaluation_seconds += elapsed
-        self.cache.store(evaluation)
-        return evaluation
+            for index in sorted(range(len(genomes)), key=keys.__getitem__):
+                key = keys[index]
+                if key in first:
+                    repeats.append((index, first[key]))
+                    continue
+                first[key] = index
+                cached, owner = self.cache.lookup_or_reserve(genomes[index])
+                if owner:
+                    fresh.append(index)
+                else:
+                    results[index] = cached
+            fresh.sort()
+            fresh_genomes = [genomes[index] for index in fresh]
+            if fresh_genomes:
+                start = time.perf_counter()
+                try:
+                    batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
+                    if batch_evaluate is not None and len(fresh_genomes) > 1:
+                        evaluations = list(batch_evaluate(fresh_genomes))
+                    else:
+                        evaluations = [self.evaluator(genome) for genome in fresh_genomes]
+                    if len(evaluations) != len(fresh_genomes):
+                        raise SearchError(
+                            "batch evaluator returned "
+                            f"{len(evaluations)} evaluations for {len(fresh_genomes)} genomes"
+                        )
+                except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
+                    evaluations = [
+                        CandidateEvaluation(genome=genome, error=str(exc))
+                        for genome in fresh_genomes
+                    ]
+                elapsed = time.perf_counter() - start
+                for index, evaluation in zip(fresh, evaluations):
+                    evaluation = self._stamp_elapsed(evaluation, elapsed / len(fresh))
+                    self.cache.complete(genomes[index], evaluation)
+                    results[index] = evaluation
+        except BaseException:
+            # Release every reservation this chunk still holds; waiters retry.
+            for index in fresh:
+                if results[index] is None:
+                    self.cache.abandon(genomes[index])
+            raise
+        for index, source in repeats:
+            results[index] = results[source].as_cache_copy()
+        with self._stats_lock:
+            self.statistics.models_evaluated += len(fresh)
+            self.statistics.cache_hits += len(genomes) - len(fresh)
+            self.statistics.total_evaluation_seconds += elapsed
+        return results  # type: ignore[return-value]
 
     @staticmethod
     def _stamp_elapsed(evaluation: CandidateEvaluation, elapsed: float) -> CandidateEvaluation:

@@ -4,8 +4,8 @@ Section III-B: *"the Pareto frontiers that result after parsing the
 evolutionary design space define what the optimal solution is ... Having the
 data to make decisions based on trade-offs is highly valuable."*  Instead of
 re-deriving the frontier from the full history after the run,
-:class:`FrontierArchive` rides the engine's callback bus (serial and
-asynchronous paths alike) and maintains the non-dominated set incrementally:
+:class:`FrontierArchive` rides the engine's callback bus (whatever the
+evaluation window) and maintains the non-dominated set incrementally:
 every evaluation either joins the frontier (evicting the members it
 dominates) or is discarded, and each change is recorded as a
 :class:`FrontierSnapshot` so the frontier's growth over the run can be
@@ -71,9 +71,8 @@ class FrontierArchive(Callback):
         archive.
 
     The archive is an engine :class:`~repro.core.callbacks.Callback`: the
-    engine feeds it through ``on_evaluation`` on both the serial and the
-    asynchronous steady-state paths, so the frontier is live *during* the
-    run.  It can also be fed directly via :meth:`observe` (e.g. by
+    engine feeds it through ``on_evaluation`` as each evaluation lands, so
+    the frontier is live *during* the run.  It can also be fed directly via :meth:`observe` (e.g. by
     ``RandomSearch``).  Updates are lock-protected, and duplicate genomes
     (cache hits re-entering the history) are ignored so the final state
     matches post-hoc extraction over the run's unique evaluations.

@@ -116,15 +116,6 @@ class SearchResult:
         return [row.payload for row in rows]
 
 
-def _extract_frontier(evaluations: list[CandidateEvaluation]) -> list[CandidateEvaluation]:
-    """Accuracy-vs-FPGA-throughput Pareto frontier of a set of evaluations.
-
-    Thin wrapper kept for compatibility; the single source of truth is
-    :func:`repro.core.pareto.evaluation_frontier`.
-    """
-    return evaluation_frontier(evaluations, device="fpga")
-
-
 class CoDesignSearch:
     """End-to-end ECAD search over one dataset.
 
@@ -340,7 +331,7 @@ class CoDesignSearch:
         return SearchResult(
             best_accuracy_candidate=best_accuracy,
             best_fitness_candidate=outcome.best.evaluation,
-            frontier=_extract_frontier(evaluations),
+            frontier=evaluation_frontier(evaluations, device="fpga"),
             history=outcome.history,
             statistics=outcome.statistics,
             frontier_archive=outcome.frontier,
@@ -435,7 +426,7 @@ class RandomSearch:
         return SearchResult(
             best_accuracy_candidate=best_accuracy,
             best_fitness_candidate=successful[best_index],
-            frontier=_extract_frontier(successful),
+            frontier=evaluation_frontier(successful, device="fpga"),
             history=history,
             statistics=statistics,
             frontier_archive=archive,

@@ -172,8 +172,7 @@ class EvolutionaryStrategy(SearchStrategy):
 
     This is the default strategy and reproduces pre-strategy behaviour bit
     for bit: scalarized selection fitness, tournament parent selection, and
-    the serial or asynchronous steady-state engine depending on
-    ``eval_parallelism``.
+    the steady-state engine with the configured evaluation window.
     """
 
     name = "evolutionary"

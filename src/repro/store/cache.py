@@ -4,7 +4,7 @@
 :class:`~repro.core.cache.EvaluationCache` whose misses fall through to a
 persistent :class:`~repro.store.store.EvaluationStore` (read-through) and
 whose fresh results are queued for batched persistence (write-behind).  The
-engine's serial and asynchronous paths, ``RandomSearch`` and the master all
+engine's evaluation pipeline, ``RandomSearch`` and the master all
 talk to the familiar cache interface and get durability for free:
 
 * ``lookup`` / ``lookup_or_reserve`` — in-memory first; on a miss the store
@@ -146,7 +146,7 @@ class StoreBackedCache(EvaluationCache):
         except StoreError as exc:
             logger.warning("evaluation store read failed: %s", exc)
             return None
-        # The engine's async path calls this from several worker threads.
+        # The engine's pipeline calls this from several worker threads.
         with self._stats_lock:
             if stored is None:
                 self.store_statistics.misses += 1

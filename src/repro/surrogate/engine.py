@@ -1,13 +1,14 @@
 """The surrogate-screened steady-state engine and its factory.
 
-:class:`SurrogateEngine` subclasses the serial steady-state loop of
-:class:`~repro.core.engine.EvolutionaryEngine`.  Until the screener's model
-is ready (store empty, too few rows, unsupported objectives) every step
-delegates to the base implementation and consumes the *same* RNG stream —
-the surrogate path is provably a no-op in that regime, and a run over an
-empty store is bit-identical to the wrapped base strategy.
+:class:`SurrogateEngine` runs the ordinary
+:class:`~repro.core.engine.EvolutionaryEngine` pipeline and overrides only
+its breeding hook.  Until the screener's model is ready (store empty, too
+few rows, unsupported objectives) the hook delegates to the base breeder and
+consumes the *same* RNG stream — the surrogate path is provably a no-op in
+that regime, and a run over an empty store is bit-identical to the wrapped
+base strategy.
 
-Once the model is ready, each step:
+Once the model is ready, each breeding call:
 
 1. breeds a pool of ``surrogate.pool_size`` unique offspring with the normal
    selection/crossover/mutation operators,
@@ -16,11 +17,12 @@ Once the model is ready, each step:
    the pool by predicted Pareto contribution,
 3. optionally winnows the top-ranked survivors through successive-halving
    fidelity rungs (:mod:`repro.surrogate.fidelity`),
-4. spends exactly one full-budget evaluation on the winner and feeds the
-   real result back into the screener.
+4. returns the winner, which the engine evaluates at full budget.
 
-Only the winner counts against ``max_evaluations``; the discarded pool
-members are the ``real_evals_saved``.
+Every landed evaluation — the initial population and cache hits included —
+is fed back into the screener before the next offspring is bred.  Only the
+winner counts against ``max_evaluations``; the discarded pool members are
+the ``real_evals_saved``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 
-from ..core.candidate import CandidateEvaluation
+from ..core.callbacks import Callback
 from ..core.engine import EvolutionaryEngine
 from ..core.errors import StoreError
 from ..core.fitness import ParetoRankingEvaluator
@@ -41,6 +43,16 @@ from .screen import OffspringScreener
 __all__ = ["SurrogateEngine", "build_surrogate_engine"]
 
 logger = logging.getLogger(__name__)
+
+
+class _ScreenerFeedback(Callback):
+    """Feeds every landed evaluation back into the screener."""
+
+    def __init__(self, screener: OffspringScreener) -> None:
+        self.screener = screener
+
+    def on_evaluation(self, evaluation, fitness, step) -> None:
+        self.screener.observe(evaluation)
 
 
 class SurrogateEngine(EvolutionaryEngine):
@@ -58,9 +70,9 @@ class SurrogateEngine(EvolutionaryEngine):
         The run's ``surrogate`` configuration section.
 
     Other parameters are forwarded to :class:`EvolutionaryEngine` unchanged.
-    The screened loop is inherently sequential (every decision feeds the
-    model that makes the next one), so the factory always builds this engine
-    with ``eval_parallelism=1``.
+    Screening is inherently sequential (every decision feeds the model that
+    makes the next one), so the factory always builds this engine with a
+    window of one: ``eval_parallelism=1`` and ``eval_batch_size=1``.
     """
 
     def __init__(self, *args, screener: OffspringScreener, fidelity: SuccessiveHalving,
@@ -69,17 +81,20 @@ class SurrogateEngine(EvolutionaryEngine):
         self.screener = screener
         self.fidelity = fidelity
         self.surrogate_config = surrogate_config
+        self.callbacks.append(_ScreenerFeedback(screener))
 
     # ------------------------------------------------------------ the screen
-    def _steady_state_step(self, population: Population, step: int) -> bool:
+    def _make_offspring(
+        self, population: Population, in_flight_keys: set[str] | None = None
+    ) -> CoDesignGenome:
         if not self.screener.ready:
             # No-op regime: same code path, same RNG stream as the base
             # strategy — a run over an empty/too-small store is bit-identical.
-            return super()._steady_state_step(population, step)
+            return super()._make_offspring(population, in_flight_keys)
 
         pool = self._breed_pool(population)
         if len(pool) < 2:
-            return super()._steady_state_step(population, step)
+            return super()._make_offspring(population, in_flight_keys)
 
         explore = self._rng.random() < self.surrogate_config.exploration_fraction
         order = self.screener.rank(pool, population.evaluations())
@@ -92,32 +107,20 @@ class SurrogateEngine(EvolutionaryEngine):
             self.statistics.rung_evaluations += rung_cost
             winner = survivors[0]
         self.statistics.real_evals_saved += len(pool) - 1
-
-        individual = self._evaluate_and_wrap(winner, step, population=population)
-        population.add(individual)
-        self._rescore(population)
-        return True
+        return winner
 
     def _breed_pool(self, population: Population) -> list[CoDesignGenome]:
         """Breed up to ``pool_size`` unique offspring with the base operators."""
         pool: list[CoDesignGenome] = []
         keys: set[str] = set()
         for _ in range(self.surrogate_config.pool_size):
-            genome = self._make_offspring(population, in_flight_keys=keys)
-            if genome is None:
-                break
+            genome = super()._make_offspring(population, in_flight_keys=keys)
             key = genome.cache_key()
             if key in keys:
                 continue
             keys.add(key)
             pool.append(genome)
         return pool
-
-    # ----------------------------------------------------------- feedback
-    def _evaluate(self, genome: CoDesignGenome) -> CandidateEvaluation:
-        evaluation = super()._evaluate(genome)
-        self.screener.observe(evaluation)
-        return evaluation
 
     def _record_frontier_statistics(self) -> None:
         super()._record_frontier_statistics()
@@ -129,8 +132,8 @@ def build_surrogate_engine(search, evaluator) -> SurrogateEngine:
 
     Resolves the base strategy's fitness/selection (weighted-sum or NSGA-II),
     seeds the screener with the store's rows for the search's problem digest,
-    and forces the serial steady-state loop (``eval_parallelism=1``) — the
-    screened loop is sequential by construction.
+    and forces a window of one (``eval_parallelism=1``,
+    ``eval_batch_size=1``) — screening is sequential by construction.
     """
     config = search.config
     surrogate = config.surrogate

@@ -21,13 +21,7 @@ batch convenience built on top of ``submit`` that preserves input order.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import as_completed as _futures_as_completed
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -66,13 +60,6 @@ class ExecutionBackend:
     ) -> Iterator["Future[ResultT]"]:
         """Yield futures as they finish (completion order, not submission order)."""
         return _futures_as_completed(list(futures), timeout=timeout)
-
-    def wait_first(
-        self, futures: Iterable["Future[ResultT]"], timeout: float | None = None
-    ) -> tuple[set["Future[ResultT]"], set["Future[ResultT]"]]:
-        """Block until at least one future finishes; return (done, pending)."""
-        done, pending = wait(list(futures), timeout=timeout, return_when=FIRST_COMPLETED)
-        return done, pending
 
     def map(self, function: Callable[[RequestT], ResultT], items: Sequence[RequestT]) -> list[ResultT]:
         """Apply ``function`` to every item, preserving order."""
@@ -128,7 +115,7 @@ class _ExecutorBackend(ExecutionBackend):
 
     def _ensure_executor(self):
         # submit/map may be called from many threads at once (the engine's
-        # async pipeline evaluates candidates concurrently), so lazy creation
+        # pipeline evaluates chunks concurrently), so lazy creation
         # must not race and leak extra pools.
         with self._executor_lock:
             if self._executor is None:
@@ -197,11 +184,6 @@ class NonOwningBackend(ExecutionBackend):
         self, futures: Iterable["Future[ResultT]"], timeout: float | None = None
     ) -> Iterator["Future[ResultT]"]:
         return self.inner.as_completed(futures, timeout=timeout)
-
-    def wait_first(
-        self, futures: Iterable["Future[ResultT]"], timeout: float | None = None
-    ) -> tuple[set["Future[ResultT]"], set["Future[ResultT]"]]:
-        return self.inner.wait_first(futures, timeout=timeout)
 
     def map(self, function: Callable[[RequestT], ResultT], items: Sequence[RequestT]) -> list[ResultT]:
         return self.inner.map(function, items)

@@ -12,19 +12,21 @@ execution backend, and merges the individual
 functions consume.  It is also a plain callable ``genome -> CandidateEvaluation``
 so it plugs directly into the engine's ``evaluator`` slot.
 
-Two dispatch granularities are offered:
+Three entry points are offered:
 
-* :meth:`evaluate` — synchronous, per-candidate: the candidate's worker
-  reports are fanned out through the backend and merged on return.  This is
-  the path the evolutionary engine drives (its async pipeline calls it from
-  several threads at once, so the backend must also absorb concurrent
-  ``map`` calls).
-* :meth:`submit` / :meth:`drain` — asynchronous, per-batch: each call
-  schedules one whole candidate evaluation on the backend and returns a
-  future, so batch callers (:meth:`evaluate_population`, external
-  pipelines) can keep several candidates in flight at once.  Inside a
-  submitted task the workers run serially — nesting backend dispatch inside
-  backend tasks would let the outer tasks starve the pool and deadlock it.
+* :meth:`evaluate` (also ``__call__``) — one candidate: its worker reports
+  are fanned out through the backend and merged on return.  The engine's
+  pipeline calls it from several threads at once when ``eval_parallelism``
+  is above 1, so the backend must also absorb concurrent ``map`` calls.
+* :meth:`evaluate_batch` — a chunk of candidates as one backend task, so
+  workers that fuse work across candidates (batched training, vectorized
+  hardware sweeps) amortize it.  The engine calls it for chunks of
+  ``eval_batch_size``.
+* :meth:`submit` / :meth:`as_completed` — one whole candidate as a backend
+  task, returned as a future, for callers that keep several candidates in
+  flight themselves (``RandomSearch``).  Inside a task the workers run
+  serially — nesting backend dispatch inside backend tasks would let the
+  outer tasks starve the pool and deadlock it.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ class Master:
         Per-candidate training hyperparameters.
     backend:
         Execution backend ("serial", "threads", "processes" or an instance)
-        used both to fan one candidate's worker reports out
-        (:meth:`evaluate`) and to keep several whole candidates in flight
-        (:meth:`submit` / :meth:`evaluate_population`).
+        used to fan one candidate's worker reports out (:meth:`evaluate`)
+        and to run whole candidates or chunks as tasks (:meth:`submit`,
+        :meth:`evaluate_batch`).
     max_workers:
         Pool size handed to the backend when it is resolved from a name
         (ignored when an :class:`ExecutionBackend` instance is passed).
@@ -135,9 +137,6 @@ class Master:
         self.max_workers = int(max_workers)
         self.backend = resolve_backend(backend, max_workers=self.max_workers)
         self.seed = seed
-        # Futures submitted but not yet collected by drain()/evaluate_population().
-        self._pending: list[Future] = []
-        self._pending_lock = threading.Lock()
         # Lazily-created shared-memory export of the dataset (processes backend
         # only): requests then ship a tiny handle instead of the arrays.
         self._shared_dataset = None
@@ -193,8 +192,7 @@ class Master:
         """Schedule one whole candidate evaluation; return its future.
 
         The returned future resolves to the merged
-        :class:`CandidateEvaluation`.  Outstanding futures are tracked so
-        :meth:`drain` can collect everything still in flight.
+        :class:`CandidateEvaluation`.
         """
         request = self.build_request(genome)
         inner = self.backend.submit(_run_workers_serial, (self.workers, request))
@@ -213,95 +211,31 @@ class Master:
                 outer.set_exception(unexpected)
 
         inner.add_done_callback(_finish)
-        with self._pending_lock:
-            self._pending.append(outer)
         return outer
-
-    def submit_batch(self, genomes: list[CoDesignGenome]) -> "Future[list[CandidateEvaluation]]":
-        """Schedule a whole batch of candidates as one backend task.
-
-        The batch runs through :meth:`Worker.evaluate_batch` on each worker,
-        so same-topology candidates share fused training and hardware sweeps.
-        The returned future resolves to one merged evaluation per genome, in
-        input order; per-candidate ``evaluation_seconds`` is the batch wall
-        clock split evenly across candidates.
-        """
-        genomes = list(genomes)
-        requests = [self.build_request(genome) for genome in genomes]
-        inner = self.backend.submit(_run_workers_serial_batch, (self.workers, requests))
-        outer: Future = Future()
-        outer.set_running_or_notify_cancel()
-
-        def _finish(done: Future) -> None:
-            try:
-                exc = done.exception()
-                if exc is not None:
-                    outer.set_exception(exc)
-                else:
-                    reports_per_request, elapsed = done.result()
-                    per_candidate = elapsed / max(1, len(genomes))
-                    outer.set_result(
-                        [
-                            self._merge(genome, reports, per_candidate)
-                            for genome, reports in zip(genomes, reports_per_request)
-                        ]
-                    )
-            except Exception as unexpected:  # noqa: BLE001 - never lose a waiter
-                outer.set_exception(unexpected)
-
-        inner.add_done_callback(_finish)
-        with self._pending_lock:
-            self._pending.append(outer)
-        return outer
-
-    def evaluate_batch(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
-        """Evaluate a batch of candidates as one fused task, in input order."""
-        genomes = list(genomes)
-        if not genomes:
-            return []
-        future = self.submit_batch(genomes)
-        results = future.result()
-        with self._pending_lock:
-            self._pending = [f for f in self._pending if f is not future]
-        return results
-
-    @property
-    def in_flight_count(self) -> int:
-        """Number of submitted candidate evaluations not yet completed."""
-        with self._pending_lock:
-            return sum(1 for future in self._pending if not future.done())
-
-    def drain(self) -> list[CandidateEvaluation]:
-        """Collect every submitted-but-not-yet-drained evaluation, blocking
-        until all have finished; results come back in completion order.
-
-        Batch futures (from :meth:`submit_batch`) are flattened in place, so
-        the result is always one flat list of evaluations."""
-        with self._pending_lock:
-            pending = list(self._pending)
-            self._pending.clear()
-        results: list[CandidateEvaluation] = []
-        for future in self.backend.as_completed(pending):
-            value = future.result()
-            if isinstance(value, list):
-                results.extend(value)
-            else:
-                results.append(value)
-        return results
 
     def as_completed(self, futures) -> Iterator["Future[CandidateEvaluation]"]:
         """Yield candidate futures in completion order (backend passthrough)."""
         return self.backend.as_completed(futures)
 
-    def evaluate_population(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
-        """Evaluate a batch of candidates through the execution backend,
-        preserving input order."""
-        futures = [self.submit(genome) for genome in genomes]
-        results = [future.result() for future in futures]
-        collected = set(map(id, futures))
-        with self._pending_lock:
-            self._pending = [f for f in self._pending if id(f) not in collected]
-        return results
+    def evaluate_batch(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
+        """Evaluate a batch of candidates as one backend task, in input order.
+
+        The batch runs through :meth:`Worker.evaluate_batch` on each worker,
+        so same-topology candidates share fused training and hardware sweeps.
+        Per-candidate ``evaluation_seconds`` is the batch wall clock split
+        evenly across candidates.
+        """
+        genomes = list(genomes)
+        if not genomes:
+            return []
+        requests = [self.build_request(genome) for genome in genomes]
+        task = self.backend.submit(_run_workers_serial_batch, (self.workers, requests))
+        reports_per_request, elapsed = task.result()
+        per_candidate = elapsed / len(genomes)
+        return [
+            self._merge(genome, reports, per_candidate)
+            for genome, reports in zip(genomes, reports_per_request)
+        ]
 
     # --------------------------------------------------------------- merging
     def _merge(
@@ -350,15 +284,7 @@ class Master:
         )
 
     def shutdown(self) -> None:
-        """Wait for in-flight work and release the execution backend."""
-        with self._pending_lock:
-            pending = list(self._pending)
-            self._pending.clear()
-        for future in pending:
-            try:
-                future.result()
-            except Exception:  # noqa: BLE001 - shutdown must not raise on failed work
-                pass
+        """Release the execution backend (waiting for its in-flight tasks)."""
         self.backend.shutdown()
         # Unlink shared-memory segments only after the pool is gone, so no
         # child can race an unlinked segment on first attach.

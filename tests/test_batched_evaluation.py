@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EvolutionaryEngine, RunStatistics
 from repro.core.errors import SearchError
 from repro.core.fitness import FitnessEvaluator, FitnessObjective
@@ -214,18 +213,6 @@ class TestMasterBatch:
         assert master.evaluate_batch([]) == []
         master.shutdown()
 
-    def test_submit_batch_and_drain_flatten(self, tiny_dataset, fast_training_config, small_grid):
-        master = self._master(tiny_dataset, fast_training_config, backend="threads")
-        genomes = _genomes(small_grid)
-        master.submit_batch(genomes[:3])
-        master.submit(genomes[3])
-        drained = master.drain()
-        assert len(drained) == 4
-        assert all(isinstance(e, CandidateEvaluation) for e in drained)
-        assert {e.genome.cache_key() for e in drained} == {g.cache_key() for g in genomes[:4]}
-        assert master.drain() == []
-        master.shutdown()
-
     def test_processes_backend_ships_shared_dataset(
         self, tiny_dataset, fast_training_config, small_grid
     ):
@@ -357,13 +344,22 @@ class TestEngineBatching:
         evaluator = _BatchRecordingEvaluator(fake_evaluator)
         engine = self._engine(small_search_space, evaluator, eval_batch_size=2)
         genome = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
-        first = engine._evaluate_concurrent_batch([genome])
-        second = engine._evaluate_concurrent_batch([genome])
+        first = engine._evaluate_chunk([genome])
+        second = engine._evaluate_chunk([genome])
         assert not first[0].from_cache
         assert second[0].from_cache
         assert first[0].accuracy == second[0].accuracy
         assert engine.statistics.cache_hits == 1
         assert engine.statistics.models_evaluated == 1
+        # A repeat inside one chunk copies its first occurrence.
+        other = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
+        while other.cache_key() == genome.cache_key():
+            other = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
+        fresh, repeat = engine._evaluate_chunk([other, other])
+        assert not fresh.from_cache and repeat.from_cache
+        assert repeat.accuracy == fresh.accuracy
+        assert engine.statistics.cache_hits == 2
+        assert engine.statistics.models_evaluated == 2
 
 
 class TestRunStatisticsGuards:

@@ -3,6 +3,8 @@ and the high-level CoDesignSearch / RandomSearch front-ends."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from repro.core.candidate import CandidateEvaluation
 from repro.core.config import ECADConfig, HardwareTargetConfig, NNAStructureConfig, OptimizationTargetConfig
 from repro.core.engine import EngineConfig, EvolutionaryEngine
 from repro.core.errors import ConfigurationError, SearchError
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator, FitnessObjective, ParetoRankingEvaluator
+from repro.core.genome import CoDesignSearchSpace, HardwareSearchSpace, MLPSearchSpace
 from repro.core.search import CoDesignSearch, RandomSearch
 from repro.hardware.device import ARRIA10_GX1150
+from repro.hardware.systolic import GridSearchSpace
 
 
 def _fitness() -> FitnessEvaluator:
@@ -354,6 +358,272 @@ class TestAsyncEvolutionaryEngine:
         assert serial.statistics.to_dict().keys() == again.statistics.to_dict().keys()
         for field in ("models_generated", "models_evaluated", "cache_hits", "peak_in_flight"):
             assert getattr(serial.statistics, field) == getattr(again.statistics, field)
+
+
+def _run_digest(history, statistics, members=()) -> str:
+    """Hash of everything a seeded run decides: history, trace, survivors, counters."""
+    digest = hashlib.sha256()
+    for record in history.records:
+        evaluation = record.evaluation
+        digest.update(
+            repr(
+                (
+                    record.step,
+                    evaluation.genome.cache_key(),
+                    evaluation.accuracy,
+                    evaluation.error,
+                    evaluation.from_cache,
+                    record.fitness.fitness,
+                )
+            ).encode()
+        )
+    digest.update(repr(history.best_fitness_trace).encode())
+    digest.update(repr(list(members)).encode())
+    counters = {
+        name: value
+        for name, value in statistics.to_dict().items()
+        if not name.endswith("seconds") and name != "evaluations_per_second"
+    }
+    digest.update(repr(sorted(counters.items())).encode())
+    return digest.hexdigest()[:16]
+
+
+def _flaky(fake_evaluator):
+    calls = {"count": 0}
+
+    def evaluate(genome):
+        calls["count"] += 1
+        if calls["count"] % 3 == 0:
+            raise RuntimeError("simulated worker failure")
+        return fake_evaluator(genome)
+
+    return evaluate
+
+
+def _constant(genome):
+    from tests.conftest import make_fake_evaluation
+
+    return make_fake_evaluation(genome, accuracy=0.5, fpga_outputs=1e5, gpu_outputs=1e5)
+
+
+def _engine_digest(space, evaluator, nsga2=False, initial_genomes=None, **overrides) -> str:
+    config = EngineConfig(
+        population_size=overrides.pop("population_size", 6),
+        max_evaluations=overrides.pop("max_evaluations", 40),
+        seed=overrides.pop("seed", 3),
+        selection="nsga2" if nsga2 else "tournament",
+        **overrides,
+    )
+    objectives = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+    result = EvolutionaryEngine(
+        space=space,
+        evaluator=evaluator,
+        fitness=ParetoRankingEvaluator(objectives) if nsga2 else FitnessEvaluator(objectives),
+        config=config,
+        device=ARRIA10_GX1150,
+        initial_genomes=initial_genomes,
+    ).run()
+    members = [
+        (member.genome.cache_key(), member.fitness_value, member.birth_step)
+        for member in result.population
+    ]
+    return _run_digest(result.history, result.statistics, members)
+
+
+def _warm_start_genomes(space):
+    rng = np.random.default_rng(99)
+    drawn = [space.random_genome(rng, device=ARRIA10_GX1150) for _ in range(3)]
+    return [drawn[0], drawn[1], drawn[0], drawn[2]]
+
+
+def _random_search_digest(space, evaluator) -> str:
+    result = RandomSearch(
+        space=space,
+        evaluator=evaluator,
+        objectives=[FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()],
+        max_evaluations=30,
+        seed=3,
+        device=ARRIA10_GX1150,
+    ).run()
+    return _run_digest(
+        result.history, result.statistics, [result.best_fitness_candidate.genome.cache_key()]
+    )
+
+
+def _surrogate_digest(dataset, evaluator, tmp_path, base) -> str:
+    from repro.core.config import SurrogateConfig
+
+    from tests.test_surrogate import _search
+
+    _search(dataset, tmp_path, strategy="evolutionary").run(evaluator=evaluator)
+    result = _search(
+        dataset,
+        tmp_path,
+        strategy="surrogate",
+        surrogate=SurrogateConfig(min_rows=16, pool_size=4, base=base),
+    ).run(evaluator=evaluator)
+    assert result.statistics.surrogate_screened > 0
+    return _run_digest(
+        result.history, result.statistics, [result.best_fitness_candidate.genome.cache_key()]
+    )
+
+
+#: Digests of seeded runs recorded before the engine's loops were merged into
+#: one evaluation pipeline; any drift in breeding, scoring, landing order or
+#: counters shows up here.
+_SEEDED_DIGESTS = {
+    "serial_weighted_sum": "f6f425649b27acc7",
+    "serial_nsga2": "88eaef893d0dbad1",
+    "raising_evaluator": "8d28f0de7ee0cbeb",
+    "stagnation_stop": "b73fb0fff5ece534",
+    "no_dedup": "3f92c139743774c4",
+    "warm_start": "ab15f2b012ba3d16",
+    "generational_weighted_sum": "f420bae9269c946f",
+    "generational_nsga2": "01ce9c91b2b3b829",
+    "window1_batch4": "e5b0e89178f7e3ba",
+    "window1_batch4_failures": "b9a5698421b8aa81",
+    "random_search": "57648e8334a82178",
+    "surrogate_weighted_sum": "fb8e47be4701b6a1",
+    "surrogate_nsga2": "8c82b823111aa0ea",
+}
+
+
+class TestSeededRunDigests:
+    @pytest.mark.parametrize("case", sorted(_SEEDED_DIGESTS))
+    def test_seeded_run_matches_recorded_digest(
+        self, case, small_search_space, fake_evaluator, tiny_dataset, tmp_path
+    ):
+        space = small_search_space
+        runs = {
+            "serial_weighted_sum": lambda: _engine_digest(space, fake_evaluator),
+            "serial_nsga2": lambda: _engine_digest(space, fake_evaluator, nsga2=True),
+            "raising_evaluator": lambda: _engine_digest(space, _flaky(fake_evaluator)),
+            "stagnation_stop": lambda: _engine_digest(
+                space, _constant, max_evaluations=200, max_stagnation_steps=5
+            ),
+            "no_dedup": lambda: _engine_digest(
+                space, fake_evaluator, max_evaluations=80, avoid_duplicate_genomes=False
+            ),
+            "warm_start": lambda: _engine_digest(
+                space, fake_evaluator, initial_genomes=_warm_start_genomes(space)
+            ),
+            "generational_weighted_sum": lambda: _engine_digest(
+                space, fake_evaluator, steady_state=False
+            ),
+            "generational_nsga2": lambda: _engine_digest(
+                space, fake_evaluator, nsga2=True, steady_state=False
+            ),
+            "window1_batch4": lambda: _engine_digest(space, fake_evaluator, eval_batch_size=4),
+            "window1_batch4_failures": lambda: _engine_digest(
+                space, _flaky(fake_evaluator), eval_batch_size=4
+            ),
+            "random_search": lambda: _random_search_digest(space, fake_evaluator),
+            "surrogate_weighted_sum": lambda: _surrogate_digest(
+                tiny_dataset, fake_evaluator, tmp_path, "weighted_sum"
+            ),
+            "surrogate_nsga2": lambda: _surrogate_digest(
+                tiny_dataset, fake_evaluator, tmp_path, "nsga2"
+            ),
+        }
+        assert runs[case]() == _SEEDED_DIGESTS[case]
+
+
+def _three_genome_space() -> CoDesignSearchSpace:
+    return CoDesignSearchSpace(
+        mlp_space=MLPSearchSpace(
+            min_layers=1,
+            max_layers=1,
+            layer_sizes=(8, 16, 32),
+            activations=("relu",),
+            allow_bias_toggle=False,
+        ),
+        hardware_space=HardwareSearchSpace(
+            grid_space=GridSearchSpace(
+                rows=(4,), columns=(4,), interleave_rows=(2,), interleave_columns=(2,),
+                vector_width=(2,),
+            ),
+            batch_sizes=(512,),
+        ),
+        gpu_batch_sizes=(128,),
+    )
+
+
+class TestBatchedDispatchRepeats:
+    """A genome repeated inside one dispatched chunk must not wait on itself."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"population_size": 2, "tournament_size": 2},
+            {"population_size": 3, "avoid_duplicate_genomes": False},
+            {"population_size": 3, "avoid_duplicate_genomes": False, "eval_parallelism": 4},
+        ],
+        ids=["fallback_repeat", "no_dedup_initializer", "no_dedup_four_threads"],
+    )
+    def test_repeat_within_a_chunk_finishes(self, fake_evaluator, overrides):
+        import sys as _sys
+        import threading as _threading
+
+        engine = EvolutionaryEngine(
+            space=_three_genome_space(),
+            evaluator=fake_evaluator,
+            fitness=_fitness(),
+            config=EngineConfig(max_evaluations=24, seed=0, eval_batch_size=4, **overrides),
+        )
+        outcome = {}
+        runner = _threading.Thread(
+            target=lambda: outcome.update(result=engine.run()), daemon=True
+        )
+        interval = _sys.getswitchinterval()
+        _sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            runner.join(timeout=30)
+        finally:
+            _sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "engine deadlocked on a repeated genome"
+        stats = outcome["result"].statistics
+        assert stats.models_generated == 24
+        assert stats.models_generated == stats.models_evaluated + stats.cache_hits
+        assert stats.models_evaluated <= 3
+
+
+    def test_chunks_sharing_genomes_in_opposite_order_finish(
+        self, small_search_space, fake_evaluator, rng
+    ):
+        import threading as _threading
+        import time as _time
+
+        class SlowReserveCache(EvaluationCache):
+            """Holds each reservation long enough for the other chunk to take one."""
+
+            def lookup_or_reserve(self, genome):
+                result = super().lookup_or_reserve(genome)
+                _time.sleep(0.05)
+                return result
+
+        engine = EvolutionaryEngine(
+            space=small_search_space,
+            evaluator=fake_evaluator,
+            fitness=_fitness(),
+            config=EngineConfig(population_size=4, max_evaluations=8),
+            cache=SlowReserveCache(),
+        )
+        first = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
+        second = first
+        while second.cache_key() == first.cache_key():
+            second = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
+        runners = [
+            _threading.Thread(target=engine._evaluate_chunk, args=(chunk,), daemon=True)
+            for chunk in ([first, second], [second, first])
+        ]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=30)
+        assert not any(runner.is_alive() for runner in runners), "chunks waited on each other"
+        assert engine.statistics.models_evaluated == 2
+        assert engine.statistics.cache_hits == 2
 
 
 class TestSearchHistory:

@@ -40,7 +40,7 @@ from repro.core.pareto import (
     pareto_frontier_indices,
     top_tradeoff_points,
 )
-from repro.core.search import CoDesignSearch, RandomSearch, _extract_frontier
+from repro.core.search import CoDesignSearch, RandomSearch
 from repro.core.selection import NSGA2Selection, get_selection
 from repro.core.strategy import (
     STRATEGIES,
@@ -756,7 +756,7 @@ class TestFrontierPathsAgree:
             make_fake_evaluation(_genome(8 + 8 * i), accuracy=accuracy, fpga_outputs=fpga)
             for i, (accuracy, fpga) in enumerate(metrics)
         ]
-        via_search = _extract_frontier(evaluations)
+        via_search = evaluation_frontier(evaluations, device="fpga")
         via_analysis = accuracy_throughput_frontier(evaluations, device="fpga")
         direct = [
             evaluations[i]

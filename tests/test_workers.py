@@ -266,8 +266,8 @@ class TestMaster:
     ):
         master = self._master(tiny_dataset, fast_training_config, backend="threads")
         genomes = [small_search_space.random_genome(rng, device=ARRIA10_GX1150) for _ in range(3)]
-        evaluations = master.evaluate_population(genomes)
-        assert len(evaluations) == 3
+        evaluations = master.evaluate_batch(genomes)
+        assert [e.genome.cache_key() for e in evaluations] == [g.cache_key() for g in genomes]
         assert all(not e.failed for e in evaluations)
         master.shutdown()
 
@@ -285,20 +285,16 @@ class TestMaster:
             Master(workers=[PhysicalWorker(device=ARRIA10_GX1150)], max_workers=0)
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_submit_and_drain_collect_all_results(
+    def test_submit_and_as_completed_collect_all_results(
         self, tiny_dataset, fast_training_config, small_search_space, rng, backend
     ):
         master = self._master(tiny_dataset, fast_training_config, backend=backend)
         genomes = [small_search_space.random_genome(rng, device=ARRIA10_GX1150) for _ in range(3)]
         futures = [master.submit(genome) for genome in genomes]
-        assert len(futures) == 3
-        drained = master.drain()
-        assert len(drained) == 3
-        assert all(not evaluation.failed for evaluation in drained)
-        assert {e.genome.cache_key() for e in drained} == {g.cache_key() for g in genomes}
-        # drain() collects each submission exactly once.
-        assert master.drain() == []
-        assert master.in_flight_count == 0
+        collected = [future.result() for future in master.as_completed(futures)]
+        assert len(collected) == 3
+        assert all(not evaluation.failed for evaluation in collected)
+        assert {e.genome.cache_key() for e in collected} == {g.cache_key() for g in genomes}
         master.shutdown()
 
     def test_serial_and_parallel_population_results_match(
@@ -307,8 +303,8 @@ class TestMaster:
         genomes = [small_search_space.random_genome(rng, device=ARRIA10_GX1150) for _ in range(4)]
         serial = self._master(tiny_dataset, fast_training_config, backend="serial")
         threaded = self._master(tiny_dataset, fast_training_config, backend="threads")
-        serial_results = serial.evaluate_population(genomes)
-        threaded_results = threaded.evaluate_population(genomes)
+        serial_results = serial.evaluate_batch(genomes)
+        threaded_results = threaded.evaluate_batch(genomes)
         # Per-request seeds are derived from the genome hash, so the same
         # genome trains identically regardless of the dispatch mechanism.
         for a, b in zip(serial_results, threaded_results):
