@@ -112,12 +112,10 @@ class Sigmoid(Activation):
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        positive = z >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-        exp_z = np.exp(z[~positive])
-        out[~positive] = exp_z / (1.0 + exp_z)
-        return out
+        # exp(-|z|) never overflows; min(z, -z) rather than -abs(z) keeps a
+        # NaN input's sign bit, as exp(z) on the negative branch does.
+        e = np.exp(np.minimum(z, -z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         s = self.forward(z)

@@ -48,6 +48,11 @@ from .training import TrainingConfig, TrainingHistory
 __all__ = ["StackedMLPGroup", "BatchedTrainer", "train_and_score_batch"]
 
 
+#: Activation bytes one layer of a stacked prediction may hold before
+#: :meth:`StackedMLPGroup.predict_members` splits the group into blocks.
+_PREDICT_BLOCK_BYTES = 2 << 20
+
+
 # --------------------------------------------------------------- optimizers
 class _BatchedOptimizer:
     """Group-stacked mirror of :class:`repro.nn.optimizers.Optimizer`.
@@ -176,8 +181,7 @@ def _build_batched_optimizer(name: str, learning_rate: float) -> _BatchedOptimiz
     key = str(name).strip().lower()
     if key not in _BATCHED_OPTIMIZERS:
         raise ValueError(
-            f"unknown optimizer {name!r}; batched training supports: "
-            f"{', '.join(sorted(_BATCHED_OPTIMIZERS))}"
+            f"unknown optimizer {name!r}; available: {', '.join(sorted(_BATCHED_OPTIMIZERS))}"
         )
     return _BATCHED_OPTIMIZERS[key](learning_rate=learning_rate)
 
@@ -262,6 +266,26 @@ class StackedMLPGroup:
         outputs, _ = self.forward(inputs, rows=rows, training=False)
         return np.argmax(outputs, axis=-1)
 
+    def predict_members(self, inputs: np.ndarray, members: list[int]) -> np.ndarray:
+        """Labels each of ``members`` predicts on its own slice of stacked ``inputs``.
+
+        The same labels as ``predict(inputs[members], members)``, computed a
+        block of members at a time so one layer's activations stay near
+        ``_PREDICT_BLOCK_BYTES``: a tall split predicted for the whole group
+        at once would hold ``group x samples x width`` floats per layer.
+        Every member still goes through the same per-slice GEMMs.
+        """
+        widest = max(weights.shape[2] for weights in self.weights)
+        block = max(1, _PREDICT_BLOCK_BYTES // (8 * inputs.shape[1] * widest))
+        if block >= len(members):
+            rows = slice(None) if len(members) == self.group_size else np.asarray(members)
+            return self.predict(inputs[rows], rows)
+        parts = []
+        for start in range(0, len(members), block):
+            rows = np.asarray(members[start : start + block])
+            parts.append(self.predict(inputs[rows], rows))
+        return np.concatenate(parts)
+
     # ---------------------------------------------------------- train step
     def train_step(
         self, inputs: np.ndarray, targets: np.ndarray, rows: np.ndarray | slice
@@ -294,8 +318,11 @@ class StackedMLPGroup:
             grad_weights[index] = last_input.swapaxes(1, 2) @ delta
             if self.use_bias:
                 grad_biases[index] = delta.sum(axis=1)
-            weights = self.weights[index][rows]
-            upstream = delta @ weights.swapaxes(1, 2)
+            if index > 0:
+                # The first layer's input gradient is never used; on wide
+                # inputs it would cost as much as that layer's forward GEMM.
+                weights = self.weights[index][rows]
+                upstream = delta @ weights.swapaxes(1, 2)
 
         gradients: list[np.ndarray] = []
         for index in range(self.num_layers):
@@ -377,35 +404,35 @@ class BatchedTrainer:
         # Per-candidate RNG streams, consumed in the scalar trainer's order:
         # one permutation for the validation split, then one per active epoch.
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        train_x, train_y, val_x, val_y = self._split_validation(
-            features_list, labels_list, rngs
-        )
+        split = self._split_validation(features_list, labels_list, rngs)
+        if split is not None:
+            stacked_train_x, stacked_train_y, stacked_val_x, stacked_val_y = split
+        else:
+            stacked_val_x = stacked_val_y = None
         # When every run trains on the same array objects (the shared
         # pre-split path — a validation split would have produced per-run
         # gathers), broadcast stride-0 views replace the stacked copies and
         # the one-hot encoding is computed once.  Every downstream op sees
         # identical values, so results stay bit-identical.
-        shared_train = all(x is train_x[0] for x in train_x) and all(
-            y is train_y[0] for y in train_y
-        )
-        if shared_train:
-            base_train_x = train_x[0]
-            base_encoded = one_hot(train_y[0], spec.output_size)
+        if split is None and shared_inputs:
+            base_train_x = features_list[0]
+            base_encoded = one_hot(labels_list[0], spec.output_size)
             encoded_train_y = np.broadcast_to(
                 base_encoded, (group_size, *base_encoded.shape)
             )
             stacked_train_x = np.broadcast_to(
                 base_train_x, (group_size, *base_train_x.shape)
             )
-            stacked_train_y = np.broadcast_to(train_y[0], (group_size, *train_y[0].shape))
+            stacked_train_y = np.broadcast_to(
+                labels_list[0], (group_size, *labels_list[0].shape)
+            )
         else:
             base_train_x = None
             base_encoded = None
-            encoded_train_y = np.stack([one_hot(y, spec.output_size) for y in train_y])
-            stacked_train_x = np.stack(train_x)
-            stacked_train_y = np.stack(train_y)
-        stacked_val_x = np.stack(val_x) if val_x is not None else None
-        stacked_val_y = np.stack(val_y) if val_y is not None else None
+            if split is None:
+                stacked_train_x = np.stack(features_list)
+                stacked_train_y = np.stack(labels_list)
+            encoded_train_y = np.stack([one_hot(y, spec.output_size) for y in stacked_train_y])
 
         model = StackedMLPGroup(spec, seeds)
         optimizer = _build_batched_optimizer(config.optimizer, config.learning_rate)
@@ -450,7 +477,7 @@ class BatchedTrainer:
             if base_train_x is not None:
                 train_predictions = model.predict(base_train_x, row_sel)
             else:
-                train_predictions = model.predict(stacked_train_x[row_sel], row_sel)
+                train_predictions = model.predict_members(stacked_train_x, active)
             for position, g in enumerate(active):
                 losses_g = epoch_losses[g]
                 histories[g].train_loss.append(
@@ -462,7 +489,7 @@ class BatchedTrainer:
                 histories[g].epochs_run = epoch + 1
 
             if stacked_val_x is not None:
-                val_predictions = model.predict(stacked_val_x[row_sel], row_sel)
+                val_predictions = model.predict_members(stacked_val_x, active)
                 stopped: set[int] = set()
                 for position, g in enumerate(active):
                     val_accuracy = accuracy(val_predictions[position], stacked_val_y[g])
@@ -491,28 +518,34 @@ class BatchedTrainer:
         features_list: list[np.ndarray],
         labels_list: list[np.ndarray],
         rngs: list[np.random.Generator],
-    ) -> tuple[
-        list[np.ndarray], list[np.ndarray], list[np.ndarray] | None, list[np.ndarray] | None
-    ]:
-        """Per-run validation holdout, mirroring ``Trainer._split_validation``."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """Per-run validation holdout, mirroring ``Trainer._split_validation``.
+
+        Returns the stacked ``(train_x, train_y, val_x, val_y)``, or ``None``
+        when no validation split is taken.  Each run's rows are gathered
+        straight into its slice of the stacks, so the split holds one copy of
+        the group's data, not a per-run gather plus a stacked copy.
+        """
         config = self.config
         if config.validation_fraction <= 0.0 or config.early_stopping_patience == 0:
-            return features_list, labels_list, None, None
-        num_samples = features_list[0].shape[0]
+            return None
+        num_samples, num_features = features_list[0].shape
         val_count = int(round(config.validation_fraction * num_samples))
         if val_count < 1 or num_samples - val_count < 1:
-            return features_list, labels_list, None, None
-        train_x: list[np.ndarray] = []
-        train_y: list[np.ndarray] = []
-        val_x: list[np.ndarray] = []
-        val_y: list[np.ndarray] = []
-        for features, labels, rng in zip(features_list, labels_list, rngs):
+            return None
+        group_size = len(features_list)
+        train_count = num_samples - val_count
+        train_x = np.empty((group_size, train_count, num_features))
+        val_x = np.empty((group_size, val_count, num_features))
+        train_y = np.empty((group_size, train_count), dtype=labels_list[0].dtype)
+        val_y = np.empty((group_size, val_count), dtype=labels_list[0].dtype)
+        for g, (features, labels, rng) in enumerate(zip(features_list, labels_list, rngs)):
             order = rng.permutation(num_samples)
             val_idx, train_idx = order[:val_count], order[val_count:]
-            train_x.append(features[train_idx])
-            train_y.append(labels[train_idx])
-            val_x.append(features[val_idx])
-            val_y.append(labels[val_idx])
+            np.take(features, train_idx, axis=0, out=train_x[g])
+            np.take(labels, train_idx, axis=0, out=train_y[g])
+            np.take(features, val_idx, axis=0, out=val_x[g])
+            np.take(labels, val_idx, axis=0, out=val_y[g])
         return train_x, train_y, val_x, val_y
 
 
@@ -541,7 +574,7 @@ def train_and_score_batch(
         predictions = model.predict(np.asarray(test_features[0], dtype=float))
     else:
         stacked_test_x = np.stack([np.asarray(x, dtype=float) for x in test_features])
-        predictions = model.predict(stacked_test_x)
+        predictions = model.predict_members(stacked_test_x, list(range(len(test_features))))
     scores = [
         accuracy(predictions[i], np.asarray(test_labels[i]).reshape(-1))
         for i in range(len(test_features))

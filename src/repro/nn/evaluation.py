@@ -10,12 +10,22 @@ The paper reports two evaluation protocols:
 Both are implemented here on top of the trainer, and both return an
 :class:`EvaluationResult` whose fields map directly onto the metrics the ECAD
 fitness functions consume.
+
+:func:`evaluate_kfold` trains fold after fold on the scalar
+:class:`~repro.nn.training.Trainer` and is the scalar reference.  The search
+trains a k-fold candidate's folds as one stacked group through
+:func:`evaluate_kfold_batch` whenever the dataset is small enough (the
+simulation worker calls it with one seed per candidate at batch size 1, and
+pools candidates at larger batch sizes); that path is bit-identical to the
+reference and holds one chunk of stacked folds at a time.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -201,20 +211,27 @@ def evaluate_kfold(
 
 
 # ------------------------------------------------------------ batched paths
+#: One training run of a batched evaluation, ``(shape, build)``: ``build()``
+#: returns ``(train_x, train_y, test_x, test_y, seed)`` on demand.  Runs with
+#: equal ``shape`` keys must build equally shaped arrays, so they can stack.
+_Run = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None]
+_LazyRun = tuple[Hashable, Callable[[], _Run]]
+
+
 def _score_runs_batched(
     spec: MLPSpec,
-    runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None]],
+    runs: list[_LazyRun],
     training_config: TrainingConfig,
     standardize: bool,
     max_group_size: int,
 ) -> list[tuple[float, "TrainingHistory"]]:
     """Batch-train heterogeneous runs of one spec, preserving input order.
 
-    Each run is ``(train_x, train_y, test_x, test_y, seed)``.  Runs are
-    standardized per run (scaler fit on that run's train split, exactly as
-    :func:`_train_and_score`), grouped by array shape so stacking is legal,
-    chunked to bound peak memory, and trained through
-    :func:`~repro.nn.batched.train_and_score_batch`.  Results are
+    Runs are grouped by their ``shape`` key, chunked to ``max_group_size``
+    and trained through :func:`~repro.nn.batched.train_and_score_batch`.  A
+    chunk's runs are built and standardized (scaler fit on that run's train
+    split, exactly as :func:`_train_and_score`) only when the chunk trains,
+    so at most one chunk's arrays are alive at a time.  Results are
     bit-identical to looping :func:`_train_and_score` with the same seeds.
     """
     from .batched import train_and_score_batch
@@ -222,21 +239,52 @@ def _score_runs_batched(
     if max_group_size < 1:
         raise ValueError(f"max_group_size must be >= 1, got {max_group_size}")
 
-    # Convert each distinct input array exactly once.  Runs that share array
-    # objects (the shared pre-split path) keep sharing them after conversion,
-    # which lets the batched trainer stack the group with zero-copy broadcast
-    # views instead of per-run copies.
-    label_cache: dict[int, np.ndarray] = {}
+    groups: dict[Hashable, list[int]] = {}
+    for position, (shape, _) in enumerate(runs):
+        groups.setdefault(shape, []).append(position)
+
+    results: list[tuple[float, "TrainingHistory"] | None] = [None] * len(runs)
+    for positions in groups.values():
+        for start in range(0, len(positions), max_group_size):
+            chunk = positions[start : start + max_group_size]
+            built = _prepare_chunk([runs[p][1] for p in chunk], standardize)
+            scored = train_and_score_batch(
+                spec,
+                [run[0] for run in built],
+                [run[1] for run in built],
+                [run[2] for run in built],
+                [run[3] for run in built],
+                training_config=training_config,
+                seeds=[run[4] for run in built],
+            )
+            # Release this chunk's arrays before the next chunk is built.
+            del built
+            for position, outcome in zip(chunk, scored):
+                results[position] = outcome
+    return results  # type: ignore[return-value]
+
+
+def _prepare_chunk(builders: list[Callable[[], _Run]], standardize: bool) -> list[_Run]:
+    """Build and standardize one chunk's runs.
+
+    Each distinct input array is converted once: runs that share array
+    objects (the shared pre-split path) keep sharing them after conversion,
+    which lets the batched trainer stack the group with zero-copy broadcast
+    views instead of per-run copies.
+    """
+    label_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _flat_labels(labels: np.ndarray) -> np.ndarray:
-        flat = label_cache.get(id(labels))
-        if flat is None:
-            flat = np.asarray(labels).reshape(-1)
-            label_cache[id(labels)] = flat
-        return flat
+        # The cache keeps ``labels`` alive, so its id cannot be reused.
+        cached = label_cache.get(id(labels))
+        if cached is None:
+            cached = (labels, np.asarray(labels).reshape(-1))
+            label_cache[id(labels)] = cached
+        return cached[1]
 
-    prepared: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None]] = []
-    for train_x, train_y, test_x, test_y, seed in runs:
+    prepared = []
+    for build in builders:
+        train_x, train_y, test_x, test_y, seed = build()
         train_x = np.asarray(train_x, dtype=float)
         test_x = np.asarray(test_x, dtype=float)
         if standardize:
@@ -244,27 +292,23 @@ def _score_runs_batched(
             train_x = scaler.transform(train_x)
             test_x = scaler.transform(test_x)
         prepared.append((train_x, _flat_labels(train_y), test_x, _flat_labels(test_y), seed))
+    return prepared
 
-    groups: dict[tuple, list[int]] = {}
-    for position, (train_x, _, test_x, _, _) in enumerate(prepared):
-        groups.setdefault((train_x.shape, test_x.shape), []).append(position)
 
-    results: list[tuple[float, "TrainingHistory"] | None] = [None] * len(runs)
-    for positions in groups.values():
-        for start in range(0, len(positions), max_group_size):
-            chunk = positions[start : start + max_group_size]
-            scored = train_and_score_batch(
-                spec,
-                [prepared[p][0] for p in chunk],
-                [prepared[p][1] for p in chunk],
-                [prepared[p][2] for p in chunk],
-                [prepared[p][3] for p in chunk],
-                training_config=training_config,
-                seeds=[prepared[p][4] for p in chunk],
-            )
-            for position, outcome in zip(chunk, scored):
-                results[position] = outcome
-    return results  # type: ignore[return-value]
+def _fixed_run(split: tuple[np.ndarray, ...], seed: int | None) -> _Run:
+    """A run over an already-built ``(train_x, train_y, test_x, test_y)`` split."""
+    return (*split, seed)
+
+
+def _fold_run(
+    features: np.ndarray,
+    labels: np.ndarray,
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
+    seed: int | None,
+) -> _Run:
+    """One k-fold run's train/test split (the builder of a :data:`_LazyRun`)."""
+    return features[train_idx], labels[train_idx], features[test_idx], labels[test_idx], seed
 
 
 def evaluate_single_fold_batch(
@@ -291,16 +335,13 @@ def evaluate_single_fold_batch(
     if seeds is None:
         seeds = [None]
     start = time.perf_counter()
-    runs = [
-        (
-            np.asarray(train_features, dtype=float),
-            np.asarray(train_labels).reshape(-1),
-            np.asarray(test_features, dtype=float),
-            np.asarray(test_labels).reshape(-1),
-            seed,
-        )
-        for seed in seeds
-    ]
+    split = (
+        np.asarray(train_features, dtype=float),
+        np.asarray(train_labels).reshape(-1),
+        np.asarray(test_features, dtype=float),
+        np.asarray(test_labels).reshape(-1),
+    )
+    runs: list[_LazyRun] = [(None, partial(_fixed_run, split, seed)) for seed in seeds]
     scored = _score_runs_batched(spec, runs, training_config, standardize, max_group_size)
     elapsed = time.perf_counter() - start
     per_candidate_seconds = elapsed / len(seeds)
@@ -341,21 +382,14 @@ def evaluate_kfold_batch(
     labels = np.asarray(labels).reshape(-1)
 
     start = time.perf_counter()
-    runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None]] = []
+    runs: list[_LazyRun] = []
     owners: list[tuple[int, int]] = []
     for candidate, seed in enumerate(seeds):
         folds = kfold_indices(features.shape[0], num_folds, seed=seed)
         for fold_number, (train_idx, test_idx) in enumerate(folds):
             fold_seed = None if seed is None else seed + fold_number
-            runs.append(
-                (
-                    features[train_idx],
-                    labels[train_idx],
-                    features[test_idx],
-                    labels[test_idx],
-                    fold_seed,
-                )
-            )
+            build = partial(_fold_run, features, labels, train_idx, test_idx, fold_seed)
+            runs.append(((train_idx.size, test_idx.size), build))
             owners.append((candidate, fold_number))
     scored = _score_runs_batched(spec, runs, training_config, standardize, max_group_size)
     elapsed = time.perf_counter() - start

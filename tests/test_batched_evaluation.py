@@ -14,9 +14,14 @@ from repro.core.engine import EngineConfig, EvolutionaryEngine, RunStatistics
 from repro.core.errors import SearchError
 from repro.core.fitness import FitnessEvaluator, FitnessObjective
 from repro.core.genome import CoDesignGenome, HardwareGenome, MLPGenome
+from repro.datasets.base import Dataset
 from repro.datasets.shared import clear_attached_cache
+from repro.datasets.synthetic import SyntheticSpec, make_classification
 from repro.hardware.device import ARRIA10_GX1150, TITAN_X
 from repro.hardware.systolic import GridConfig
+from repro.nn import batched as nn_batched
+from repro.nn.evaluation import evaluate_kfold
+from repro.nn.training import TrainingConfig
 from repro.workers.base import EvaluationRequest, Worker, WorkerReport
 from repro.workers.hardware_db import HardwareDatabaseWorker
 from repro.workers.master import Master
@@ -137,6 +142,144 @@ class TestSimulationWorkerBatch:
         worker.evaluate_batch(_requests(_genomes(small_grid), tiny_dataset, fast_training_config))
         # 5 requests over 3 distinct topologies -> 3 groups, largest of size 3.
         assert sorted(calls) == [1, 1, 3]
+
+
+class TestSimulationWorkerKFoldMatchesScalarReference:
+    """``evaluate`` trains a k-fold candidate's folds as one stacked group.
+
+    These compare it against :func:`evaluate_kfold`, the fold-by-fold scalar
+    trainer, rather than against another fused path.
+    """
+
+    @staticmethod
+    def _kfold_request(genome, dataset, training_config, num_folds):
+        return EvaluationRequest(
+            genome=genome,
+            dataset=dataset,
+            evaluation_protocol="10-fold",
+            num_folds=num_folds,
+            training_config=training_config,
+            seed=11,
+        )
+
+    @pytest.mark.parametrize(
+        ("num_samples", "num_folds", "stacked_groups"),
+        [(107, 5, [2, 3]), (160, 10, [8, 2])],
+        ids=["uneven-folds-two-shapes", "ten-folds-chunked"],
+    )
+    def test_evaluate_matches_evaluate_kfold(
+        self, monkeypatch, small_grid, fast_training_config, num_samples, num_folds, stacked_groups
+    ):
+        dataset = make_classification(
+            SyntheticSpec(name="kfold", num_features=9, num_classes=3, num_samples=num_samples),
+            seed=5,
+        )
+        genome = CoDesignGenome(
+            mlp=MLPGenome(hidden_layers=(16, 8), activations=("sigmoid", "elu")),
+            hardware=HardwareGenome(grid=small_grid, batch_size=256),
+            gpu_batch_size=128,
+        )
+        group_sizes = []
+        original = nn_batched.train_and_score_batch
+
+        def spying(spec, train_xs, *args, **kwargs):
+            group_sizes.append(len(train_xs))
+            return original(spec, train_xs, *args, **kwargs)
+
+        monkeypatch.setattr(nn_batched, "train_and_score_batch", spying)
+        report = SimulationWorker(gpu=None, measure_gpu=False).evaluate(
+            self._kfold_request(genome, dataset, fast_training_config, num_folds)
+        )
+        assert group_sizes == stacked_groups
+
+        reference = evaluate_kfold(
+            genome.mlp.to_spec(dataset.num_features, dataset.num_classes),
+            dataset.features,
+            dataset.labels,
+            num_folds=num_folds,
+            training_config=fast_training_config,
+            seed=11,
+        )
+        assert not report.failed
+        assert report.accuracy == reference.accuracy
+        assert report.accuracy_std == reference.accuracy_std
+        assert report.extras["fold_accuracies"] == reference.fold_accuracies
+        assert len(report.extras["fold_accuracies"]) == num_folds
+
+    def test_large_dataset_trains_fold_by_fold(self, monkeypatch, small_grid, fast_training_config):
+        # Above the size cap the worker runs the scalar reference itself:
+        # no stacked group is trained and the figures are its figures.
+        from repro.workers import simulation
+
+        dataset = make_classification(
+            SyntheticSpec(name="kfold", num_features=9, num_classes=3, num_samples=60), seed=6
+        )
+        monkeypatch.setattr(simulation, "_FUSED_KFOLD_MAX_ELEMENTS", dataset.features.size - 1)
+        group_sizes = []
+        original = nn_batched.train_and_score_batch
+
+        def spying(spec, train_xs, *args, **kwargs):
+            group_sizes.append(len(train_xs))
+            return original(spec, train_xs, *args, **kwargs)
+
+        monkeypatch.setattr(nn_batched, "train_and_score_batch", spying)
+        genome = _genomes(small_grid)[0]
+        report = SimulationWorker(gpu=None, measure_gpu=False).evaluate(
+            self._kfold_request(genome, dataset, fast_training_config, num_folds=4)
+        )
+        assert group_sizes == []
+        reference = evaluate_kfold(
+            genome.mlp.to_spec(dataset.num_features, dataset.num_classes),
+            dataset.features,
+            dataset.labels,
+            num_folds=4,
+            training_config=fast_training_config,
+            seed=11,
+        )
+        assert not report.failed
+        assert report.accuracy == reference.accuracy
+        assert report.extras["fold_accuracies"] == reference.fold_accuracies
+
+    def test_too_few_samples_reports_the_scalar_error(self, small_grid, fast_training_config):
+        dataset = Dataset(name="two", features=[[0.0, 1.0], [1.0, 0.0]], labels=[0, 1])
+        requests = [
+            self._kfold_request(genome, dataset, fast_training_config, num_folds=3)
+            for genome in _genomes(small_grid)[:2]
+        ]
+        worker = SimulationWorker(gpu=None, measure_gpu=False)
+        expected = "training failed: cannot split 2 samples into 3 folds"
+        assert worker.evaluate(requests[0]).error == expected
+
+        # The same-topology batch fails its fused group and falls back to
+        # per-request evaluate, which must report the same text.
+        fallbacks = []
+        original = worker.evaluate
+
+        def spying(request):
+            fallbacks.append(request.seed)
+            return original(request)
+
+        worker.evaluate = spying
+        reports = worker.evaluate_batch(requests)
+        assert fallbacks == [11, 11]
+        assert [report.error for report in reports] == [expected, expected]
+
+    def test_unknown_optimizer_reports_the_scalar_error(self, tiny_dataset, small_grid):
+        config = TrainingConfig(epochs=1, optimizer="nesterov", validation_fraction=0.0)
+        genome = _genomes(small_grid)[0]
+        with pytest.raises(ValueError) as scalar_error:
+            evaluate_kfold(
+                genome.mlp.to_spec(tiny_dataset.num_features, tiny_dataset.num_classes),
+                tiny_dataset.features,
+                tiny_dataset.labels,
+                num_folds=3,
+                training_config=config,
+                seed=11,
+            )
+        report = SimulationWorker(gpu=None, measure_gpu=False).evaluate(
+            self._kfold_request(genome, tiny_dataset, config, num_folds=3)
+        )
+        assert report.error == f"training failed: {scalar_error.value}"
 
 
 class TestHardwareDatabaseWorkerBatch:

@@ -42,6 +42,42 @@ class TestForwardValues:
         out = Sigmoid().forward(z)
         assert np.all(np.isfinite(out))
 
+    @staticmethod
+    def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
+        """The earlier boolean-mask gather/scatter form, kept as the reference."""
+        out = np.empty_like(z)
+        positive = z >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+        exp_z = np.exp(z[~positive])
+        out[~positive] = exp_z / (1.0 + exp_z)
+        return out
+
+    @pytest.mark.parametrize(
+        "shape", [(257,), (33, 17), (3, 32, 64)], ids=["1d", "2d", "3d"]
+    )
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_sigmoid_bits_match_masked_form_on_random_inputs(self, shape, scale):
+        z = np.random.default_rng(int(scale * 10) + len(shape)).normal(size=shape) * scale
+        with np.errstate(under="ignore"):
+            expected = self._masked_sigmoid(z)
+            got = Sigmoid().forward(z)
+            got_transposed = Sigmoid().forward(z.T)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(
+            got_transposed.view(np.int64), expected.T.view(np.int64)
+        )
+
+    def test_sigmoid_bits_match_masked_form_on_special_values(self):
+        z = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+             750.0, -750.0, 745.2, -745.2, 1e300, -1e300, 709.8, -709.8]
+        )
+        with np.errstate(under="ignore"):
+            expected = self._masked_sigmoid(z)
+            got = Sigmoid().forward(z)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        assert got.shape == z.shape
+
     def test_tanh_matches_numpy(self):
         z = np.linspace(-3, 3, 11)
         np.testing.assert_allclose(Tanh().forward(z), np.tanh(z))

@@ -9,11 +9,14 @@ every accuracy, loss curve and early-stop epoch must match to the last bit
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.datasets import SyntheticSpec, make_classification
 from repro.nn import MLPSpec, TrainingConfig
+from repro.nn import batched as nn_batched
 from repro.nn.batched import BatchedTrainer, train_and_score_batch
 from repro.nn.evaluation import (
     evaluate_kfold,
@@ -267,6 +270,76 @@ class TestBatchedEvaluationEquivalence:
             max_group_size=16,
         )
         assert chunked[0].fold_accuracies == unchunked[0].fold_accuracies
+
+    @pytest.mark.parametrize("block_bytes", [1, 30720], ids=["one-member", "two-members"])
+    def test_kfold_batch_blockwise_prediction_matches_loop(self, monkeypatch, block_bytes):
+        # A small prediction budget splits every stacked prediction into
+        # member blocks; early stopping leaves gaps in the active members.
+        monkeypatch.setattr(nn_batched, "_PREDICT_BLOCK_BYTES", block_bytes)
+        block_sizes = []
+        original = nn_batched.StackedMLPGroup.predict
+
+        def spying(group, inputs, rows=None):
+            block_sizes.append(group.group_size if isinstance(rows, slice) else len(rows))
+            return original(group, inputs, rows)
+
+        monkeypatch.setattr(nn_batched.StackedMLPGroup, "predict", spying)
+        dataset = _dataset(seed=16, samples=160)
+        config = TrainingConfig(
+            epochs=20, batch_size=16, learning_rate=0.05, early_stopping_patience=2
+        )
+        batched = evaluate_kfold_batch(
+            SPEC, dataset.features, dataset.labels, num_folds=6, training_config=config, seeds=[5]
+        )
+        scalar = evaluate_kfold(
+            SPEC, dataset.features, dataset.labels, num_folds=6, training_config=config, seed=5
+        )
+        assert batched[0].fold_accuracies == scalar.fold_accuracies
+        for batched_history, scalar_history in zip(batched[0].histories, scalar.histories):
+            _assert_histories_identical(batched_history, scalar_history)
+        assert len({history.epochs_run for history in scalar.histories}) > 1
+        if block_bytes == 1:
+            assert set(block_sizes) == {1}
+        else:
+            assert 2 in block_sizes and max(block_sizes) < 6
+
+    def test_kfold_batch_builds_one_chunk_at_a_time(self, monkeypatch):
+        # A chunk's fold arrays are released before the next chunk is built,
+        # so peak memory holds one chunk, not every fold of every candidate.
+        from repro.nn import evaluation as nn_evaluation
+
+        previous_chunk = []
+        live_when_building = []
+        original_fold_run = nn_evaluation._fold_run
+        original_train = nn_batched.train_and_score_batch
+
+        def building(*args):
+            live_when_building.append(sum(ref() is not None for ref in previous_chunk))
+            return original_fold_run(*args)
+
+        def training(spec, train_xs, *args, **kwargs):
+            previous_chunk[:] = [weakref.ref(x) for x in train_xs]
+            return original_train(spec, train_xs, *args, **kwargs)
+
+        monkeypatch.setattr(nn_evaluation, "_fold_run", building)
+        monkeypatch.setattr(nn_batched, "train_and_score_batch", training)
+        dataset = _dataset(seed=17, samples=100)
+        config = TrainingConfig(epochs=2, batch_size=16)
+        batched = evaluate_kfold_batch(
+            SPEC,
+            dataset.features,
+            dataset.labels,
+            num_folds=5,
+            training_config=config,
+            seeds=[3, 4],
+            max_group_size=4,
+        )
+        assert len(live_when_building) == 10
+        assert live_when_building == [0] * 10
+        scalar = evaluate_kfold(
+            SPEC, dataset.features, dataset.labels, num_folds=5, training_config=config, seed=4
+        )
+        assert batched[1].fold_accuracies == scalar.fold_accuracies
 
     def test_mixed_topologies_batch_by_spec(self):
         # The worker groups by spec; here we assert each spec group alone
