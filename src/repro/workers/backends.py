@@ -10,7 +10,9 @@ can run:
   GIL inside BLAS, with model evaluation; best-effort parallelism on one
   machine),
 * **in a process pool** (true multi-core parallelism; work functions and
-  their arguments must be picklable).
+  their arguments must be picklable).  Each pool process caps its OpenBLAS
+  at ``usable CPUs // pool size`` threads (see :func:`cap_blas_threads`), so
+  the pool does not run more BLAS threads than there are cores.
 
 Every backend presents the same futures-based interface: ``submit`` schedules
 one work item and returns a :class:`concurrent.futures.Future`,
@@ -20,6 +22,9 @@ batch convenience built on top of ``submit`` that preserves input order.
 
 from __future__ import annotations
 
+import ctypes
+import logging
+import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import as_completed as _futures_as_completed
@@ -37,7 +42,12 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "available_backends",
+    "usable_cpus",
+    "pool_blas_threads",
+    "cap_blas_threads",
 ]
+
+logger = logging.getLogger(__name__)
 
 RequestT = TypeVar("RequestT")
 ResultT = TypeVar("ResultT")
@@ -148,18 +158,106 @@ class ThreadPoolBackend(_ExecutorBackend):
         return ThreadPoolExecutor(max_workers=self.max_workers)
 
 
+#: Memory map of the calling process, read to find the loaded BLAS libraries.
+_PROC_MAPS = "/proc/self/maps"
+
+#: Thread-count setters exported by OpenBLAS builds, tried in this order:
+#: plain, 64-bit-integer interface, and the ``scipy_openblas`` wheels'
+#: prefixed names (numpy 2.x ships the last).
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def pool_blas_threads(max_workers: int) -> int:
+    """BLAS threads per pool process: the usable CPUs shared among the pool."""
+    return max(1, usable_cpus() // max_workers)
+
+
+def _loaded_openblas_paths() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process, in map order."""
+    paths: list[str] = []
+    with open(_PROC_MAPS, encoding="utf-8", errors="replace") as maps:
+        for line in maps:
+            fields = line.split(maxsplit=5)
+            if len(fields) == 6:
+                path = fields[5].rstrip("\n")
+                if "openblas" in os.path.basename(path).lower() and path not in paths:
+                    paths.append(path)
+    return paths
+
+
+def cap_blas_threads(threads: int) -> bool:
+    """Cap every loaded OpenBLAS at ``threads`` threads; return whether any was.
+
+    Run in each pool process by :class:`ProcessPoolBackend`.  It must act on
+    the library already loaded: ``OPENBLAS_NUM_THREADS`` is read only when
+    OpenBLAS loads, which under ``fork`` happened in the parent.  A process
+    with no recognised setter (MKL, BLIS, Accelerate, no ``/proc``) keeps its
+    BLAS default and logs one INFO record naming the cap it missed.
+    """
+    import numpy  # noqa: F401 - loads the BLAS to cap (already loaded under fork)
+
+    capped = False
+    try:
+        paths = _loaded_openblas_paths()
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SETTERS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter(int(threads))
+                capped = True
+                break
+    if not capped:
+        logger.info(
+            "pool process %d: no known OpenBLAS thread setter is loaded; "
+            "could not cap BLAS at %d thread(s)",
+            os.getpid(),
+            threads,
+        )
+    return capped
+
+
 class ProcessPoolBackend(_ExecutorBackend):
     """Evaluates work items on a pool of worker processes.
 
     Sidesteps the GIL entirely, at the cost of pickling: both the work
     function and its items must be picklable (module-level functions or
     ``functools.partial`` over them; no lambdas or closures).
+
+    Every pool process starts by capping its OpenBLAS at
+    :func:`pool_blas_threads` threads, so ``max_workers`` processes share the
+    usable CPUs instead of each running one BLAS thread per core.  OpenBLAS
+    results depend on its thread count for GEMMs large enough to thread, so
+    a pool evaluation equals an in-process one made at the capped count.
+    The calling process keeps its own BLAS settings.
     """
 
     name = "process_pool"
 
     def _create_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
+        return ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            initializer=cap_blas_threads,
+            initargs=(pool_blas_threads(self.max_workers),),
+        )
 
 
 class NonOwningBackend(ExecutionBackend):

@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.genome import CoDesignGenome, HardwareGenome, MLPGenome
+from repro.datasets.registry import load_dataset
 from repro.hardware.device import ARRIA10_GX1150, STRATIX10_2800, TITAN_X
 from repro.hardware.memory import DDR4_BANK, MemorySystem
 from repro.hardware.systolic import GridConfig
+from repro.nn.evaluation import evaluate_single_fold
 from repro.nn.training import TrainingConfig
+from repro.workers import backends
 from repro.workers.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
+    cap_blas_threads,
+    pool_blas_threads,
     resolve_backend,
+    usable_cpus,
 )
 from repro.workers.base import EvaluationRequest, WorkerReport
 from repro.workers.hardware_db import HardwareDatabaseWorker
@@ -227,6 +236,130 @@ class TestBackends:
     def test_resolver_forwards_max_workers(self):
         assert resolve_backend("threads", max_workers=7).max_workers == 7
         assert resolve_backend("processes", max_workers=2).max_workers == 2
+
+
+_OPENBLAS_GETTERS = (
+    "openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
+
+
+def _openblas_threads(_: object = None) -> int | None:
+    """Thread count of the first loaded OpenBLAS with a known getter, else None.
+
+    Module-level so process pools can pickle it.
+    """
+    for path in backends._loaded_openblas_paths():
+        library = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_GETTERS:
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                return int(getter())
+    return None
+
+
+def _train_wide_mlp(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train two 784-input MLPs whose GEMMs are large enough for OpenBLAS to
+    thread; return the bit patterns of their loss curves and accuracies.
+
+    On a 2-CPU host both loss curves differ in the low bits between 1 and 2
+    OpenBLAS threads.  Module-level so process pools can pickle it.
+    """
+    dataset = load_dataset("mnist_like", seed=0, scale=0.01)
+    training = TrainingConfig(
+        epochs=3, batch_size=32, early_stopping_patience=0, validation_fraction=0.0
+    )
+    losses: list[float] = []
+    accuracies: list[float] = []
+    for hidden in [(128,), (128, 64)]:
+        spec = MLPGenome(hidden_layers=hidden, activations=("relu",) * len(hidden)).to_spec(
+            dataset.num_features, dataset.num_classes
+        )
+        result = evaluate_single_fold(
+            spec,
+            dataset.features,
+            dataset.labels,
+            dataset.test_features,
+            dataset.test_labels,
+            training_config=training,
+            seed=seed,
+        )
+        losses += result.histories[0].train_loss
+        accuracies += [result.accuracy, *result.histories[0].train_accuracy]
+    return (
+        np.asarray(losses, dtype=np.float64).view(np.int64),
+        np.asarray(accuracies, dtype=np.float64).view(np.int64),
+    )
+
+
+def _assert_same_bits(left, right) -> None:
+    assert np.array_equal(left[0], right[0])
+    assert np.array_equal(left[1], right[1])
+
+
+class TestPoolBlasThreads:
+    """Pool processes cap OpenBLAS at usable CPUs // pool size."""
+
+    @pytest.fixture
+    def parent_threads(self) -> int:
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS with a known thread-count getter is loaded")
+        return threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_processes_run_at_the_cap(self, parent_threads, workers):
+        with ProcessPoolBackend(max_workers=workers) as backend:
+            seen = set(backend.map(_openblas_threads, range(4 * workers)))
+        assert seen == {max(1, usable_cpus() // workers)} == {pool_blas_threads(workers)}
+        # The calling process keeps its own setting.
+        assert _openblas_threads() == parent_threads
+
+    def test_unreadable_maps_is_reported_not_raised(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.setattr(backends, "_PROC_MAPS", str(tmp_path / "missing"))
+        with caplog.at_level(logging.INFO, logger="repro.workers.backends"):
+            assert cap_blas_threads(3) is False
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        assert "3 thread(s)" in record.getMessage()
+
+    def test_no_known_setter_is_reported_not_raised(self, parent_threads, monkeypatch, caplog):
+        monkeypatch.setattr(backends, "_OPENBLAS_SETTERS", ("no_such_setter",))
+        with caplog.at_level(logging.INFO, logger="repro.workers.backends"):
+            assert cap_blas_threads(1) is False
+        (record,) = caplog.records
+        assert record.name == "repro.workers.backends"
+        assert "1 thread(s)" in record.getMessage()
+        assert _openblas_threads() == parent_threads
+
+    def test_single_process_pool_matches_in_process_training(self):
+        # A pool of one is capped at every usable CPU: OpenBLAS's own default.
+        parent = _openblas_threads()
+        if parent is not None and parent != usable_cpus():
+            pytest.skip(f"parent runs OpenBLAS at {parent} threads, not {usable_cpus()}")
+        with ProcessPoolBackend(max_workers=1) as backend:
+            pooled = backend.submit(_train_wide_mlp, 5).result()
+        _assert_same_bits(pooled, _train_wide_mlp(5))
+
+    def test_two_process_pools_agree(self):
+        results = []
+        for _ in range(2):
+            with ProcessPoolBackend(max_workers=2) as backend:
+                results.append(backend.submit(_train_wide_mlp, 5).result())
+        _assert_same_bits(*results)
+
+    def test_pool_matches_in_process_training_at_the_capped_count(self, parent_threads):
+        with ProcessPoolBackend(max_workers=2) as backend:
+            pooled = backend.submit(_train_wide_mlp, 5).result()
+        try:
+            assert cap_blas_threads(pool_blas_threads(2))
+            local = _train_wide_mlp(5)
+        finally:
+            cap_blas_threads(parent_threads)
+        assert _openblas_threads() == parent_threads
+        _assert_same_bits(pooled, local)
 
 
 class TestMaster:
