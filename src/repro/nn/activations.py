@@ -33,9 +33,12 @@ class Activation:
     """Base class for element-wise activation functions.
 
     Subclasses implement :meth:`forward` and :meth:`derivative`.  The
-    derivative is expressed as a function of the *pre-activation* input ``z``
-    (not the activated output), which keeps the backpropagation code in
-    :mod:`repro.nn.layers` uniform across activations.
+    derivative is expressed as a function of the *pre-activation* input ``z``,
+    which keeps the backpropagation code in :mod:`repro.nn.layers` and
+    :mod:`repro.nn.batched` uniform across activations.  Both pass the
+    activated output they cached in the forward pass as ``output``; sigmoid
+    and tanh reuse it instead of recomputing ``forward(z)``, which yields the
+    same bits.  The others ignore it: their from-output forms would not.
     """
 
     #: Stable identifier used in genomes, configuration files and caches.
@@ -45,8 +48,11 @@ class Activation:
         """Return the activation applied element-wise to ``z``."""
         raise NotImplementedError
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        """Return d(activation)/dz evaluated element-wise at ``z``."""
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
+        """Return d(activation)/dz evaluated element-wise at ``z``.
+
+        ``output``, when given, must be ``forward(z)``.
+        """
         raise NotImplementedError
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -70,7 +76,7 @@ class Identity(Activation):
     def forward(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
         return np.ones_like(np.asarray(z, dtype=float))
 
 
@@ -82,7 +88,7 @@ class ReLU(Activation):
     def forward(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
         return (z > 0.0).astype(float)
 
 
@@ -100,7 +106,7 @@ class LeakyReLU(Activation):
         z = np.asarray(z, dtype=float)
         return np.where(z > 0.0, z, self.alpha * z)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return np.where(z > 0.0, 1.0, self.alpha)
 
@@ -115,10 +121,13 @@ class Sigmoid(Activation):
         # exp(-|z|) never overflows; min(z, -z) rather than -abs(z) keeps a
         # NaN input's sign bit, as exp(z) on the negative branch does.
         e = np.exp(np.minimum(z, -z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        # 1 / (1 + e) for z >= 0, e / (1 + e) otherwise: one division.
+        numerator = np.where(z >= 0, 1.0, e)
+        numerator /= 1.0 + e
+        return numerator
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        s = self.forward(z)
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
+        s = self.forward(z) if output is None else output
         return s * (1.0 - s)
 
 
@@ -130,8 +139,8 @@ class Tanh(Activation):
     def forward(self, z: np.ndarray) -> np.ndarray:
         return np.tanh(z)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        t = np.tanh(z)
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
+        t = np.tanh(z) if output is None else output
         return 1.0 - t * t
 
 
@@ -149,7 +158,7 @@ class ELU(Activation):
         z = np.asarray(z, dtype=float)
         return np.where(z > 0.0, z, self.alpha * (np.exp(np.minimum(z, 0.0)) - 1.0))
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return np.where(z > 0.0, 1.0, self.alpha * np.exp(np.minimum(z, 0.0)))
 
@@ -163,7 +172,7 @@ class Softplus(Activation):
         z = np.asarray(z, dtype=float)
         return np.logaddexp(0.0, z)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
         return Sigmoid().forward(z)
 
 
@@ -180,11 +189,11 @@ class Softmax(Activation):
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        exp_z = np.exp(shifted)
-        return exp_z / np.sum(exp_z, axis=-1, keepdims=True)
+        exp_z = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+        exp_z /= np.add.reduce(exp_z, axis=-1, keepdims=True)
+        return exp_z
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
         s = self.forward(z)
         return s * (1.0 - s)
 

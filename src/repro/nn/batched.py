@@ -8,19 +8,35 @@ one fused forward/backward per mini-batch with ``np.matmul`` broadcasting over
 the group dimension, so BLAS sees one call per layer instead of one per
 candidate.
 
+Flat layout
+-----------
+A group keeps all its parameters in one ``(group, P)`` buffer, one row per
+member in the scalar order ``[W0, b0, W1, b1, ...]``.  The per-layer weight
+and bias stacks are views into it, so the gradients of a train step fill one
+``(active, P)`` buffer and the optimizer makes one update per step over the
+whole group instead of one per tensor.
+
 Bit-compatibility contract
 --------------------------
 :class:`BatchedTrainer` reproduces :class:`repro.nn.training.Trainer`
 *bit-for-bit* given the same per-candidate seeds:
 
 * weight init comes from per-candidate :class:`~repro.nn.mlp.MLP`
-  construction (the stacked tensors are copies of the scalar layers),
+  construction (the flat buffer holds copies of the scalar layers),
 * each candidate owns its own ``np.random.default_rng(seed)`` whose
   consumption order (validation split first, then one permutation per active
   epoch) matches the scalar trainer exactly,
-* batched ``matmul`` over a stacked, C-contiguous group dispatches to the
-  same per-slice BLAS GEMM as the 2-D path, and every other op (bias add,
-  activations, clipped-log loss, optimizer updates) is element-wise,
+* in the flat layout each member's ``W`` is a C-contiguous 2-D slice of its
+  row, and the group is a strided stack of those slices.  Batched ``matmul``
+  loops over the group and hands BLAS each slice with the same shape and
+  inner strides as the 2-D path, so every member runs the same per-slice GEMM
+  whatever the group stride; gradients are written into their slices with
+  ``out=``, which changes where a result lands, not how it is computed,
+* every other op (bias add, activations, clipped-log loss, optimizer
+  updates) is element-wise and keeps the scalar path's operand order; the
+  in-place forms (``+=``, ``out=``) round each element exactly as the
+  expressions they replace, and the per-run loss means reduce contiguous rows
+  with the same pairwise sum as the scalar trainer's 1-D means,
 * early-stopped candidates are frozen out of the active set: they stop
   consuming RNG draws and optimizer updates at exactly the same epoch as the
   scalar loop, and all still-active candidates always share the same
@@ -57,116 +73,139 @@ _PREDICT_BLOCK_BYTES = 2 << 20
 class _BatchedOptimizer:
     """Group-stacked mirror of :class:`repro.nn.optimizers.Optimizer`.
 
-    Parameters are the full ``(group, ...)`` stacks; gradients arrive for the
-    active rows only and updates are scattered back onto those rows, leaving
-    early-stopped candidates untouched — exactly as if their per-candidate
-    optimizer had simply stopped being stepped.  ``rows`` may be a
-    ``slice(None)`` when every run is still active, which turns the
-    gather/scatter into in-place view arithmetic on the full stacks.
+    Parameters live in one ``(group, P)`` buffer (see
+    :class:`StackedMLPGroup`); each state the optimizer keeps is one more
+    array of that shape.  :meth:`step` makes one update per train step over
+    the whole buffer.  Gradients arrive for the active rows only, and the
+    update touches only those rows, leaving early-stopped candidates
+    untouched — exactly as if their per-candidate optimizer had simply
+    stopped being stepped.  When every run is active (``rows`` is
+    ``slice(None)``) the update runs in place on the buffers; otherwise the
+    active rows are gathered once, updated and scattered back once.
+
+    Every element-wise operation keeps the scalar optimizer's operand order,
+    so each member's parameters match its own scalar update bit for bit.
     """
 
-    def __init__(self, learning_rate: float) -> None:
+    #: Number of ``(group, P)`` state arrays (moments, velocities) kept.
+    num_states = 0
+
+    def __init__(self, learning_rate: float, shape: tuple[int, int]) -> None:
         self.learning_rate = float(learning_rate)
         self._step_count = 0
+        self._states = [np.zeros(shape) for _ in range(self.num_states)]
+        self._scratch = np.empty(shape)
 
-    def step(
-        self,
-        parameters: list[np.ndarray],
-        gradients: list[np.ndarray],
-        rows: np.ndarray | slice,
-    ) -> None:
+    def step(self, parameters: np.ndarray, gradients: np.ndarray, rows: np.ndarray | slice) -> None:
+        """Update ``parameters[rows]``; ``gradients`` is consumed as scratch space."""
         self._step_count += 1
-        for index, (param, grad) in enumerate(zip(parameters, gradients)):
-            self._update(index, param, grad, rows)
+        scratch = self._scratch[: gradients.shape[0]]
+        if isinstance(rows, slice):
+            self._update(parameters, gradients, self._states, scratch)
+            return
+        active = parameters[rows]
+        states = [state[rows] for state in self._states]
+        self._update(active, gradients, states, scratch)
+        parameters[rows] = active
+        for store, state in zip(self._states, states):
+            store[rows] = state
 
     def _update(
-        self, index: int, param: np.ndarray, grad: np.ndarray, rows: np.ndarray | slice
+        self, param: np.ndarray, grad: np.ndarray, states: list[np.ndarray], scratch: np.ndarray
     ) -> None:
+        """Apply one update in place to ``param`` and ``states`` (same shape as ``grad``)."""
         raise NotImplementedError
-
-    def _state(self, store: dict, index: int, param: np.ndarray) -> np.ndarray:
-        state = store.get(index)
-        if state is None or state.shape != param.shape:
-            state = np.zeros_like(param)
-            store[index] = state
-        return state
 
 
 class _BatchedSGD(_BatchedOptimizer):
-    def _update(self, index: int, param: np.ndarray, grad: np.ndarray, rows: np.ndarray) -> None:
-        param[rows] = param[rows] - self.learning_rate * grad
+    def _update(self, param, grad, states, scratch) -> None:
+        # param -= lr * grad
+        grad *= self.learning_rate
+        param -= grad
 
 
 class _BatchedMomentumSGD(_BatchedOptimizer):
-    def __init__(self, learning_rate: float, momentum: float = 0.9) -> None:
-        super().__init__(learning_rate)
-        self.momentum = float(momentum)
-        self._velocities: dict[int, np.ndarray] = {}
+    num_states = 1
 
-    def _update(self, index: int, param: np.ndarray, grad: np.ndarray, rows: np.ndarray) -> None:
-        store = self._state(self._velocities, index, param)
-        velocity = self.momentum * store[rows] - self.learning_rate * grad
-        store[rows] = velocity
-        param[rows] = param[rows] + velocity
+    def __init__(self, learning_rate: float, shape: tuple[int, int], momentum: float = 0.9) -> None:
+        super().__init__(learning_rate, shape)
+        self.momentum = float(momentum)
+
+    def _update(self, param, grad, states, scratch) -> None:
+        # velocity = momentum * velocity - lr * grad; param += velocity
+        (velocity,) = states
+        velocity *= self.momentum
+        grad *= self.learning_rate
+        velocity -= grad
+        param += velocity
 
 
 class _BatchedRMSProp(_BatchedOptimizer):
-    def __init__(self, learning_rate: float, decay: float = 0.9, epsilon: float = 1e-8) -> None:
-        super().__init__(learning_rate)
-        self.decay = float(decay)
-        self.epsilon = float(epsilon)
-        self._mean_squares: dict[int, np.ndarray] = {}
+    num_states = 1
 
-    def _update(self, index: int, param: np.ndarray, grad: np.ndarray, rows: np.ndarray) -> None:
-        store = self._state(self._mean_squares, index, param)
-        mean_square = self.decay * store[rows] + (1.0 - self.decay) * grad * grad
-        store[rows] = mean_square
-        param[rows] = param[rows] - self.learning_rate * grad / (np.sqrt(mean_square) + self.epsilon)
-
-
-class _BatchedAdam(_BatchedOptimizer):
     def __init__(
         self,
         learning_rate: float,
+        shape: tuple[int, int],
+        decay: float = 0.9,
+        epsilon: float = 1e-8,
+    ) -> None:
+        super().__init__(learning_rate, shape)
+        self.decay = float(decay)
+        self.epsilon = float(epsilon)
+
+    def _update(self, param, grad, states, scratch) -> None:
+        # mean_square = decay * mean_square + (1 - decay) * grad * grad
+        # param -= lr * grad / (sqrt(mean_square) + epsilon)
+        (mean_square,) = states
+        mean_square *= self.decay
+        np.multiply(grad, 1.0 - self.decay, out=scratch)
+        scratch *= grad
+        mean_square += scratch
+        np.sqrt(mean_square, out=scratch)
+        scratch += self.epsilon
+        grad *= self.learning_rate
+        grad /= scratch
+        param -= grad
+
+
+class _BatchedAdam(_BatchedOptimizer):
+    num_states = 2
+
+    def __init__(
+        self,
+        learning_rate: float,
+        shape: tuple[int, int],
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        super().__init__(learning_rate)
+        super().__init__(learning_rate, shape)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self._first_moments: dict[int, np.ndarray] = {}
-        self._second_moments: dict[int, np.ndarray] = {}
 
-    def _update(
-        self, index: int, param: np.ndarray, grad: np.ndarray, rows: np.ndarray | slice
-    ) -> None:
-        first_store = self._state(self._first_moments, index, param)
-        second_store = self._state(self._second_moments, index, param)
-        if isinstance(rows, slice):
-            # Full-group fast path: update the moment stacks in place with the
-            # same operation sequence (and therefore the same floats) as the
-            # gather/scatter branch, skipping most temporaries.
-            np.multiply(first_store, self.beta1, out=first_store)
-            first_store += (1.0 - self.beta1) * grad
-            np.multiply(second_store, self.beta2, out=second_store)
-            second_store += (1.0 - self.beta2) * grad * grad
-            first, second = first_store, second_store
-        else:
-            first = self.beta1 * first_store[rows] + (1.0 - self.beta1) * grad
-            second = self.beta2 * second_store[rows] + (1.0 - self.beta2) * grad * grad
-            first_store[rows] = first
-            second_store[rows] = second
+    def _update(self, param, grad, states, scratch) -> None:
+        # first = beta1 * first + (1 - beta1) * grad
+        # second = beta2 * second + (1 - beta2) * grad * grad
+        # param -= lr * (first / bc1) / (sqrt(second / bc2) + epsilon)
+        first, second = states
+        first *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=scratch)
+        first += scratch
+        second *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        scratch *= grad
+        second += scratch
         bias_correction1 = 1.0 - self.beta1 ** self._step_count
         bias_correction2 = 1.0 - self.beta2 ** self._step_count
-        corrected_first = first / bias_correction1
-        corrected_second = second / bias_correction2
-        np.sqrt(corrected_second, out=corrected_second)
-        corrected_second += self.epsilon
-        np.multiply(corrected_first, self.learning_rate, out=corrected_first)
-        corrected_first /= corrected_second
-        param[rows] = param[rows] - corrected_first
+        np.divide(first, bias_correction1, out=grad)
+        np.divide(second, bias_correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.epsilon
+        grad *= self.learning_rate
+        grad /= scratch
+        param -= grad
 
 
 _BATCHED_OPTIMIZERS: dict[str, type[_BatchedOptimizer]] = {
@@ -177,23 +216,37 @@ _BATCHED_OPTIMIZERS: dict[str, type[_BatchedOptimizer]] = {
 }
 
 
-def _build_batched_optimizer(name: str, learning_rate: float) -> _BatchedOptimizer:
+def _build_batched_optimizer(
+    name: str, learning_rate: float, shape: tuple[int, int]
+) -> _BatchedOptimizer:
     key = str(name).strip().lower()
     if key not in _BATCHED_OPTIMIZERS:
         raise ValueError(
             f"unknown optimizer {name!r}; available: {', '.join(sorted(_BATCHED_OPTIMIZERS))}"
         )
-    return _BATCHED_OPTIMIZERS[key](learning_rate=learning_rate)
+    return _BATCHED_OPTIMIZERS[key](learning_rate=learning_rate, shape=shape)
+
+
+def _accuracies(predictions: np.ndarray, labels: np.ndarray) -> list[float]:
+    """Per-row accuracy of ``(rows, samples)`` predictions, as ``metrics.accuracy``.
+
+    A count of matches over the sample count is the same float ``accuracy``
+    computes as the mean of a boolean array: both sums are exact integers.
+    """
+    return (np.count_nonzero(predictions == labels, axis=1) / predictions.shape[1]).tolist()
 
 
 # ------------------------------------------------------------- stacked model
 class StackedMLPGroup:
     """A group of same-spec MLPs stacked along a leading group dimension.
 
-    Weight tensors are ``(group, fan_in, fan_out)`` and biases ``(group,
-    fan_out)``; initial values are copied from per-candidate
-    :class:`~repro.nn.mlp.MLP` instances so they match the scalar path
-    exactly.  Activation/loss instances are stateless and shared.
+    All parameters live in one ``(group, P)`` buffer, :attr:`flat_parameters`:
+    row ``g`` holds member ``g``'s parameters in the scalar order ``[W0, b0,
+    W1, b1, ...]``, each flattened in C order.  ``weights[i]`` is a
+    ``(group, fan_in, fan_out)`` view and ``biases[i]`` a ``(group,
+    fan_out)`` view into that buffer.  Initial values are copied from
+    per-candidate :class:`~repro.nn.mlp.MLP` instances so they match the
+    scalar path exactly.  Activation/loss instances are stateless and shared.
     """
 
     def __init__(self, spec: MLPSpec, seeds: list[int | None]) -> None:
@@ -202,21 +255,14 @@ class StackedMLPGroup:
         self.spec = spec
         self.group_size = len(seeds)
         models = [MLP(spec, seed=seed) for seed in seeds]
-        template = models[0]
-        self.activations = [layer.activation for layer in template.layers]
+        self.activations = [layer.activation for layer in models[0].layers]
         self.use_bias = spec.use_bias
-        self.weights = [
-            np.stack([model.layers[i].weights for model in models])
-            for i in range(len(template.layers))
-        ]
-        self.biases = (
-            [
-                np.stack([model.layers[i].bias for model in models])
-                for i in range(len(template.layers))
-            ]
-            if self.use_bias
-            else None
+        self.flat_parameters = np.stack(
+            [np.concatenate([param.ravel() for param in model.parameters()]) for model in models]
         )
+        self.weights, self.biases = self._views(self.flat_parameters)
+        # Gradient buffer and its views, rebuilt when the active count changes.
+        self._gradients: tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None] | None = None
         # The softmax + cross-entropy analytic shortcut, as MLP.train_step.
         self.softmax_output = isinstance(self.activations[-1], Softmax)
 
@@ -224,47 +270,61 @@ class StackedMLPGroup:
     def num_layers(self) -> int:
         return len(self.activations)
 
-    def parameters(self) -> list[np.ndarray]:
-        """Stacked parameters in the scalar per-model order [W0, b0, W1, b1, ...]."""
-        params: list[np.ndarray] = []
-        for index in range(self.num_layers):
-            params.append(self.weights[index])
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+        """Per-layer weight and bias views into a ``(rows, P)`` flat buffer."""
+        rows = flat.shape[0]
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        offset = 0
+        sizes = self.spec.layer_sizes
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            end = offset + fan_in * fan_out
+            # Splitting the unit-stride axis is always a view, never a copy.
+            weights.append(flat[:, offset:end].reshape(rows, fan_in, fan_out))
+            offset = end
             if self.use_bias:
-                params.append(self.biases[index])
-        return params
+                biases.append(flat[:, offset : offset + fan_out])
+                offset += fan_out
+        return weights, (biases if self.use_bias else None)
+
+    def _select(
+        self, rows: np.ndarray | slice | None
+    ) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+        """Weights and biases of ``rows``: the full views for ``None`` or ``slice(None)``."""
+        if rows is None or isinstance(rows, slice):
+            return self.weights, self.biases
+        return self._views(self.flat_parameters[rows])
 
     # ------------------------------------------------------------- forward
-    def forward(
+    def _forward(
         self,
         inputs: np.ndarray,
-        rows: np.ndarray | slice | None = None,
-        training: bool = False,
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        weights: list[np.ndarray],
+        biases: list[np.ndarray] | None,
+        trace: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    ) -> np.ndarray:
         """Fused forward pass over ``(rows, samples, features)`` inputs.
 
         ``inputs`` may also be a single 2-D ``(samples, features)`` matrix
         shared by every selected row — matmul broadcasting then evaluates each
         row's weights against the same data without materializing copies.
-        Returns the output activations and, when ``training``, the per-layer
-        ``(last_input, pre_activation)`` caches the backward pass needs.
+        When ``trace`` is given, each layer appends its ``(input,
+        pre_activation)``; a layer's activated output is the next layer's
+        input, or the returned output for the last layer.
         """
-        caches: list[tuple[np.ndarray, np.ndarray]] = []
         outputs = inputs
         for index, activation in enumerate(self.activations):
-            weights = self.weights[index] if rows is None else self.weights[index][rows]
-            pre_activation = outputs @ weights
-            if self.use_bias:
-                bias = self.biases[index] if rows is None else self.biases[index][rows]
-                pre_activation = pre_activation + bias[:, None, :]
-            if training:
-                caches.append((outputs, pre_activation))
+            pre_activation = outputs @ weights[index]
+            if biases is not None:
+                pre_activation += biases[index][:, None, :]
+            if trace is not None:
+                trace.append((outputs, pre_activation))
             outputs = activation.forward(pre_activation)
-        return outputs, caches
+        return outputs
 
     def predict(self, inputs: np.ndarray, rows: np.ndarray | slice | None = None) -> np.ndarray:
         """Per-candidate predicted labels, shape ``(rows, samples)``."""
-        outputs, _ = self.forward(inputs, rows=rows, training=False)
-        return np.argmax(outputs, axis=-1)
+        return np.argmax(self._forward(inputs, *self._select(rows)), axis=-1)
 
     def predict_members(self, inputs: np.ndarray, members: list[int]) -> np.ndarray:
         """Labels each of ``members`` predicts on its own slice of stacked ``inputs``.
@@ -287,49 +347,57 @@ class StackedMLPGroup:
         return np.concatenate(parts)
 
     # ---------------------------------------------------------- train step
+    def _gradient_buffer(
+        self, active: int
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
+        """The ``(active, P)`` gradient buffer and its per-layer views."""
+        if self._gradients is None or self._gradients[0].shape[0] != active:
+            flat = np.empty((active, self.flat_parameters.shape[1]))
+            self._gradients = (flat, *self._views(flat))
+        return self._gradients
+
     def train_step(
         self, inputs: np.ndarray, targets: np.ndarray, rows: np.ndarray | slice
-    ) -> tuple[list[float], list[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One fused forward + backward over a mini-batch of every active run.
 
-        Returns the per-run batch losses and the gradients (active rows only)
-        in :meth:`parameters` order.  This mirrors ``MLP.train_step`` with the
+        Returns the per-run batch losses and the ``(active, P)`` gradient
+        buffer, laid out like :attr:`flat_parameters`.  The buffer is reused
+        by the next call.  This mirrors ``MLP.train_step`` with the
         categorical cross-entropy loss: clipped-log loss on the probabilities
         and the analytic ``(p - t) / batch`` logit gradient when the output
         activation is softmax.
         """
-        outputs, caches = self.forward(inputs, rows=rows, training=True)
+        weights, biases = self._select(rows)
+        trace: list[tuple[np.ndarray, np.ndarray]] = []
+        outputs = self._forward(inputs, weights, biases, trace)
         batch_rows = outputs.shape[1]
         clipped = np.clip(outputs, _EPSILON, 1.0)
         per_sample = -np.sum(targets * np.log(clipped), axis=2)
-        losses = [float(np.mean(per_sample[i])) for i in range(per_sample.shape[0])]
-        gradient = (outputs - targets) / batch_rows
+        losses = per_sample.mean(axis=1)
+        upstream = outputs - targets
+        upstream /= batch_rows
 
-        grad_weights: list[np.ndarray | None] = [None] * self.num_layers
-        grad_biases: list[np.ndarray | None] = [None] * self.num_layers
-        upstream = gradient
+        flat_gradients, grad_weights, grad_biases = self._gradient_buffer(outputs.shape[0])
+        layer_output = outputs
         for index in range(self.num_layers - 1, -1, -1):
-            last_input, pre_activation = caches[index]
+            last_input, pre_activation = trace[index]
             is_output = index == self.num_layers - 1
             if is_output and self.softmax_output:
                 delta = upstream
             else:
-                delta = upstream * self.activations[index].derivative(pre_activation)
-            grad_weights[index] = last_input.swapaxes(1, 2) @ delta
-            if self.use_bias:
-                grad_biases[index] = delta.sum(axis=1)
+                delta = upstream * self.activations[index].derivative(
+                    pre_activation, output=layer_output
+                )
+            np.matmul(last_input.swapaxes(1, 2), delta, out=grad_weights[index])
+            if grad_biases is not None:
+                np.sum(delta, axis=1, out=grad_biases[index])
             if index > 0:
                 # The first layer's input gradient is never used; on wide
                 # inputs it would cost as much as that layer's forward GEMM.
-                weights = self.weights[index][rows]
-                upstream = delta @ weights.swapaxes(1, 2)
-
-        gradients: list[np.ndarray] = []
-        for index in range(self.num_layers):
-            gradients.append(grad_weights[index])
-            if self.use_bias:
-                gradients.append(grad_biases[index])
-        return losses, gradients
+                upstream = delta @ weights[index].swapaxes(1, 2)
+            layer_output = last_input
+        return losses, flat_gradients
 
 
 # ------------------------------------------------------------------ trainer
@@ -423,9 +491,6 @@ class BatchedTrainer:
             stacked_train_x = np.broadcast_to(
                 base_train_x, (group_size, *base_train_x.shape)
             )
-            stacked_train_y = np.broadcast_to(
-                labels_list[0], (group_size, *labels_list[0].shape)
-            )
         else:
             base_train_x = None
             base_encoded = None
@@ -435,7 +500,9 @@ class BatchedTrainer:
             encoded_train_y = np.stack([one_hot(y, spec.output_size) for y in stacked_train_y])
 
         model = StackedMLPGroup(spec, seeds)
-        optimizer = _build_batched_optimizer(config.optimizer, config.learning_rate)
+        optimizer = _build_batched_optimizer(
+            config.optimizer, config.learning_rate, model.flat_parameters.shape
+        )
 
         best_val_accuracy = np.full(group_size, -np.inf)
         epochs_without_improvement = np.zeros(group_size, dtype=int)
@@ -457,7 +524,7 @@ class BatchedTrainer:
                 orders = np.broadcast_to(
                     np.arange(num_samples), (len(active), num_samples)
                 )
-            epoch_losses: dict[int, list[float]] = {g: [] for g in active}
+            step_losses: list[np.ndarray] = []
             for start in range(0, num_samples, config.batch_size):
                 batch_idx = orders[:, start : start + config.batch_size]
                 if base_train_x is not None:
@@ -470,29 +537,34 @@ class BatchedTrainer:
                     batch_x = stacked_train_x[rows[:, None], batch_idx]
                     batch_t = encoded_train_y[rows[:, None], batch_idx]
                 losses, gradients = model.train_step(batch_x, batch_t, row_sel)
-                optimizer.step(model.parameters(), gradients, row_sel)
-                for position, g in enumerate(active):
-                    epoch_losses[g].append(losses[position])
+                optimizer.step(model.flat_parameters, gradients, row_sel)
+                step_losses.append(losses)
 
+            # One contiguous (active, steps) row per run: its mean is the
+            # same pairwise sum as the scalar trainer's mean over its list.
+            epoch_losses = (
+                np.stack(step_losses, axis=1).mean(axis=1).tolist()
+                if step_losses
+                else [float("nan")] * len(active)
+            )
             if base_train_x is not None:
                 train_predictions = model.predict(base_train_x, row_sel)
+                train_accuracies = _accuracies(train_predictions, labels_list[0])
             else:
                 train_predictions = model.predict_members(stacked_train_x, active)
+                train_accuracies = _accuracies(train_predictions, stacked_train_y[rows])
             for position, g in enumerate(active):
-                losses_g = epoch_losses[g]
-                histories[g].train_loss.append(
-                    float(np.mean(losses_g)) if losses_g else float("nan")
-                )
-                histories[g].train_accuracy.append(
-                    accuracy(train_predictions[position], stacked_train_y[g])
-                )
+                histories[g].train_loss.append(epoch_losses[position])
+                histories[g].train_accuracy.append(train_accuracies[position])
                 histories[g].epochs_run = epoch + 1
 
             if stacked_val_x is not None:
-                val_predictions = model.predict_members(stacked_val_x, active)
+                val_accuracies = _accuracies(
+                    model.predict_members(stacked_val_x, active), stacked_val_y[rows]
+                )
                 stopped: set[int] = set()
                 for position, g in enumerate(active):
-                    val_accuracy = accuracy(val_predictions[position], stacked_val_y[g])
+                    val_accuracy = val_accuracies[position]
                     histories[g].validation_accuracy.append(val_accuracy)
                     if val_accuracy > best_val_accuracy[g] + 1e-9:
                         best_val_accuracy[g] = val_accuracy

@@ -102,6 +102,7 @@ class DenseLayer:
         # Cached tensors from the most recent forward pass, used by backward().
         self._last_input: np.ndarray | None = None
         self._last_pre_activation: np.ndarray | None = None
+        self._last_output: np.ndarray | None = None
         # Gradients populated by backward().
         self.grad_weights: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
@@ -137,8 +138,9 @@ class DenseLayer:
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for a batch of inputs.
 
-        When ``training`` is true the input and pre-activation are cached so a
-        subsequent :meth:`backward` call can compute gradients.
+        When ``training`` is true the input, pre-activation and output are
+        cached so a subsequent :meth:`backward` call can compute gradients;
+        callers must not modify the returned output in place before then.
         """
         if not self.is_initialized:
             raise RuntimeError("layer must be initialized before calling forward()")
@@ -152,10 +154,12 @@ class DenseLayer:
         pre_activation = inputs @ self.weights
         if self.use_bias:
             pre_activation = pre_activation + self.bias
+        outputs = self.activation.forward(pre_activation)
         if training:
             self._last_input = inputs
             self._last_pre_activation = pre_activation
-        return self.activation.forward(pre_activation)
+            self._last_output = outputs
+        return outputs
 
     # --------------------------------------------------------------- backward
     def backward(self, upstream_gradient: np.ndarray, skip_activation: bool = False) -> np.ndarray:
@@ -182,7 +186,9 @@ class DenseLayer:
         if skip_activation:
             delta = upstream_gradient
         else:
-            delta = upstream_gradient * self.activation.derivative(self._last_pre_activation)
+            delta = upstream_gradient * self.activation.derivative(
+                self._last_pre_activation, output=self._last_output
+            )
         self.grad_weights = self._last_input.T @ delta
         if self.use_bias:
             self.grad_bias = delta.sum(axis=0)

@@ -20,6 +20,24 @@ from repro.nn.activations import (
 
 ALL_ACTIVATIONS = [Identity(), ReLU(), LeakyReLU(), Sigmoid(), Tanh(), ELU(), Softplus(), Softmax()]
 
+SPECIAL_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+    750.0, -750.0, 1e300, -1e300,
+]
+RANDOM_SHAPES = pytest.mark.parametrize(
+    "shape", [(257,), (33, 17), (3, 32, 64)], ids=["1d", "2d", "3d"]
+)
+RANDOM_SCALES = pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+
+
+def _random_inputs(shape, scale):
+    return np.random.default_rng(int(scale * 10) + len(shape)).normal(size=shape) * scale
+
+
+def _assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 class TestForwardValues:
     def test_relu_clamps_negatives(self):
@@ -104,6 +122,29 @@ class TestForwardValues:
         z = np.array([[1.0, 2.0, 3.0]])
         np.testing.assert_allclose(Softmax().forward(z), Softmax().forward(z + 100.0))
 
+    @staticmethod
+    def _reference_softmax(z: np.ndarray) -> np.ndarray:
+        """The earlier np.max / np.sum form, kept as the reference."""
+        shifted = z - np.max(z, axis=-1, keepdims=True)
+        exp_z = np.exp(shifted)
+        return exp_z / np.sum(exp_z, axis=-1, keepdims=True)
+
+    @RANDOM_SHAPES
+    @RANDOM_SCALES
+    def test_softmax_bits_match_reference_form_on_random_inputs(self, shape, scale):
+        z = _random_inputs(shape, scale)
+        with np.errstate(under="ignore"):
+            _assert_same_bits(Softmax().forward(z), self._reference_softmax(z))
+            _assert_same_bits(Softmax().forward(z.T), self._reference_softmax(z.T))
+
+    def test_softmax_bits_match_reference_form_on_special_values(self):
+        # Every ordered pair of special values shares a row with a finite one.
+        rows = np.array([[a, b, 0.25] for a in SPECIAL_VALUES for b in SPECIAL_VALUES])
+        vector = np.array(SPECIAL_VALUES)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(Softmax().forward(rows), self._reference_softmax(rows))
+            _assert_same_bits(Softmax().forward(vector), self._reference_softmax(vector))
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("activation", ALL_ACTIVATIONS[:-1], ids=lambda a: a.name)
@@ -120,6 +161,42 @@ class TestDerivatives:
     def test_sigmoid_derivative_peak_at_zero(self):
         d = Sigmoid().derivative(np.array([0.0]))
         assert d[0] == pytest.approx(0.25)
+
+    @staticmethod
+    def _reference_derivative(activation, z: np.ndarray) -> np.ndarray:
+        """The earlier forms, recomputing the forward pass from ``z``."""
+        if isinstance(activation, Sigmoid):
+            s = Sigmoid().forward(z)
+            return s * (1.0 - s)
+        t = np.tanh(z)
+        return 1.0 - t * t
+
+    @pytest.mark.parametrize("activation", [Sigmoid(), Tanh()], ids=lambda a: a.name)
+    @RANDOM_SHAPES
+    @RANDOM_SCALES
+    def test_derivative_from_output_bits_match_recomputed_form(self, activation, shape, scale):
+        z = _random_inputs(shape, scale)
+        with np.errstate(under="ignore"):
+            expected = self._reference_derivative(activation, z)
+            _assert_same_bits(activation.derivative(z, output=activation.forward(z)), expected)
+            _assert_same_bits(activation.derivative(z), expected)
+
+    @pytest.mark.parametrize("activation", [Sigmoid(), Tanh()], ids=lambda a: a.name)
+    def test_derivative_from_output_bits_match_recomputed_form_on_special_values(self, activation):
+        z = np.array(SPECIAL_VALUES)
+        with np.errstate(all="ignore"):
+            expected = self._reference_derivative(activation, z)
+            _assert_same_bits(activation.derivative(z, output=activation.forward(z)), expected)
+            _assert_same_bits(activation.derivative(z), expected)
+
+    @pytest.mark.parametrize("activation", ALL_ACTIVATIONS, ids=lambda a: a.name)
+    def test_derivative_given_forward_output_is_unchanged(self, activation):
+        # Activations whose from-output form would differ ignore ``output``.
+        z = np.concatenate([_random_inputs((3, 32, 8), 3.0).ravel(), SPECIAL_VALUES])
+        with np.errstate(all="ignore"):
+            _assert_same_bits(
+                activation.derivative(z, output=activation.forward(z)), activation.derivative(z)
+            )
 
 
 class TestRegistry:

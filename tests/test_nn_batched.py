@@ -54,6 +54,12 @@ def _scalar_fit(spec, config, features, labels, seed):
 
 
 SPEC = MLPSpec(input_size=12, output_size=3, hidden_sizes=(16, 8), activations=("relu", "tanh"))
+SPEC3 = MLPSpec(
+    input_size=12,
+    output_size=3,
+    hidden_sizes=(16, 12, 8),
+    activations=("sigmoid", "tanh", "relu"),
+)
 
 
 class TestBatchedTrainerEquivalence:
@@ -115,6 +121,37 @@ class TestBatchedTrainerEquivalence:
         # The scenario must actually exercise divergent stopping points.
         assert len(stop_epochs) > 1
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "momentum", "rmsprop", "adam"])
+    def test_three_hidden_layers_with_staggered_early_stops_match_scalar(self, optimizer):
+        # Once a member stops, each step gathers and scatters the active rows
+        # of the flat buffers; the frozen rows must stay exactly as they were.
+        dataset = _dataset(seed=3, samples=200)
+        config = TrainingConfig(
+            epochs=20,
+            batch_size=16,
+            optimizer=optimizer,
+            learning_rate=0.05,
+            early_stopping_patience=2,
+        )
+        seeds = [0, 1, 2, 3, 4, 5]
+        group, histories = BatchedTrainer(config).fit(
+            SPEC3,
+            [dataset.features] * len(seeds),
+            [dataset.labels] * len(seeds),
+            seeds=seeds,
+        )
+        stop_epochs = set()
+        for position, seed in enumerate(seeds):
+            scalar_model, scalar_history = _scalar_fit(
+                SPEC3, config, dataset.features, dataset.labels, seed=seed
+            )
+            _assert_histories_identical(histories[position], scalar_history)
+            for index, layer in enumerate(scalar_model.layers):
+                assert np.array_equal(group.weights[index][position], layer.weights)
+                assert np.array_equal(group.biases[index][position], layer.bias)
+            stop_epochs.add(scalar_history.epochs_run)
+        assert len(stop_epochs) > 1
+
     def test_no_bias_and_no_shuffle(self):
         dataset = _dataset(seed=4)
         spec = MLPSpec(
@@ -163,6 +200,56 @@ class TestBatchedTrainerEquivalence:
 
             assert score == accuracy(model.predict(test.features), test.labels)
             _assert_histories_identical(history, scalar_history)
+
+
+class TestFlatParameterLayout:
+    def test_weights_and_biases_are_views_of_one_buffer(self):
+        group = nn_batched.StackedMLPGroup(SPEC3, seeds=[1, 2, 3])
+        flat = group.flat_parameters
+        assert flat.shape == (3, SPEC3.parameter_count)
+        tensors = []
+        for weights, biases in zip(group.weights, group.biases):
+            assert np.shares_memory(weights, flat) and np.shares_memory(biases, flat)
+            assert all(weights[member].flags.c_contiguous for member in range(3))
+            tensors += [weights, biases]
+        # The views tile each row once, in the scalar order [W0, b0, W1, ...].
+        flat[:] = np.arange(flat.size, dtype=float).reshape(flat.shape)
+        for member in range(3):
+            row = np.concatenate([tensor[member].ravel() for tensor in tensors])
+            assert np.array_equal(row, flat[member])
+
+    @pytest.mark.parametrize(
+        "hidden, activations",
+        [((16,), ("relu",)), ((16, 12, 8), ("sigmoid", "tanh", "relu"))],
+        ids=["depth1", "depth3"],
+    )
+    def test_optimizer_updates_once_per_train_step(self, monkeypatch, hidden, activations):
+        counts = {"update": 0, "train_step": 0}
+        original_update = nn_batched._BatchedAdam._update
+        original_train_step = nn_batched.StackedMLPGroup.train_step
+
+        def counting_update(self, *args):
+            counts["update"] += 1
+            return original_update(self, *args)
+
+        def counting_train_step(self, *args):
+            counts["train_step"] += 1
+            return original_train_step(self, *args)
+
+        monkeypatch.setattr(nn_batched._BatchedAdam, "_update", counting_update)
+        monkeypatch.setattr(nn_batched.StackedMLPGroup, "train_step", counting_train_step)
+        spec = MLPSpec(input_size=12, output_size=3, hidden_sizes=hidden, activations=activations)
+        dataset = _dataset(seed=3, samples=200)
+        config = TrainingConfig(
+            epochs=20, batch_size=16, learning_rate=0.05, early_stopping_patience=2
+        )
+        _, histories = BatchedTrainer(config).fit(
+            spec, [dataset.features] * 4, [dataset.labels] * 4, seeds=[0, 1, 2, 3]
+        )
+        assert counts["train_step"] > 0
+        assert counts["update"] == counts["train_step"]
+        # Early stops left some steps on a subset of rows (the gather path).
+        assert len({history.epochs_run for history in histories}) > 1
 
 
 class TestBatchedEvaluationEquivalence:
