@@ -26,6 +26,12 @@ Bit-compatibility contract
 * each candidate owns its own ``np.random.default_rng(seed)`` whose
   consumption order (validation split first, then one permutation per active
   epoch) matches the scalar trainer exactly,
+* both trainers train on row indices: a run's validation permutation splits
+  it into ``val_idx``/``train_idx``, and each mini-batch is gathered straight
+  from the source rows through ``train_idx[order[start:stop]]``, so every
+  batch holds the same rows in the same order as the scalar trainer's; the
+  source is the caller's shared 2-D matrix, or the runs' arrays stacked
+  into one ``(group * samples, features)`` matrix when they differ,
 * in the flat layout each member's ``W`` is a C-contiguous 2-D slice of its
   row, and the group is a strided stack of those slices.  Batched ``matmul``
   loops over the group and hands BLAS each slice with the same shape and
@@ -35,8 +41,10 @@ Bit-compatibility contract
 * every other op (bias add, activations, clipped-log loss, optimizer
   updates) is element-wise and keeps the scalar path's operand order; the
   in-place forms (``+=``, ``out=``) round each element exactly as the
-  expressions they replace, and the per-run loss means reduce contiguous rows
-  with the same pairwise sum as the scalar trainer's 1-D means,
+  expressions they replace, the direct ufunc calls (``np.add.reduce``,
+  ``np.minimum(np.maximum(...))``) equal the ``np.sum``/``mean``/``np.clip``
+  forms of the scalar loss, and the per-run loss means reduce contiguous
+  rows with the same pairwise sum as the scalar trainer's 1-D means,
 * early-stopped candidates are frozen out of the active set: they stop
   consuming RNG draws and optimizer updates at exactly the same epoch as the
   scalar loop, and all still-active candidates always share the same
@@ -59,7 +67,7 @@ from .losses import _EPSILON
 from .metrics import accuracy
 from .mlp import MLP, MLPSpec
 from .preprocessing import one_hot
-from .training import TrainingConfig, TrainingHistory
+from .training import TrainingConfig, TrainingHistory, _validation_count
 
 __all__ = ["StackedMLPGroup", "BatchedTrainer", "train_and_score_batch"]
 
@@ -372,9 +380,14 @@ class StackedMLPGroup:
         trace: list[tuple[np.ndarray, np.ndarray]] = []
         outputs = self._forward(inputs, weights, biases, trace)
         batch_rows = outputs.shape[1]
-        clipped = np.clip(outputs, _EPSILON, 1.0)
-        per_sample = -np.sum(targets * np.log(clipped), axis=2)
-        losses = per_sample.mean(axis=1)
+        # Direct ufunc calls skip numpy's Python-level wrappers; each equals
+        # the np.clip / np.sum / mean form it replaces bit for bit.
+        clipped = np.maximum(outputs, _EPSILON)
+        np.minimum(clipped, 1.0, out=clipped)
+        np.log(clipped, out=clipped)
+        np.multiply(targets, clipped, out=clipped)
+        losses = -np.add.reduce(clipped, axis=2)
+        losses = np.add.reduce(losses, axis=1) / batch_rows
         upstream = outputs - targets
         upstream /= batch_rows
 
@@ -391,7 +404,7 @@ class StackedMLPGroup:
                 )
             np.matmul(last_input.swapaxes(1, 2), delta, out=grad_weights[index])
             if grad_biases is not None:
-                np.sum(delta, axis=1, out=grad_biases[index])
+                np.add.reduce(delta, axis=1, out=grad_biases[index])
             if index > 0:
                 # The first layer's input gradient is never used; on wide
                 # inputs it would cost as much as that layer's forward GEMM.
@@ -433,8 +446,8 @@ class BatchedTrainer:
 
         # The pre-split hot path hands every run the *same* array objects
         # (one shared, preprocessed dataset); detect that before conversion so
-        # the converted lists keep the sharing and the stacking below can use
-        # zero-copy broadcast views instead of `group_size` copies.
+        # the converted lists keep the sharing and every run can train on the
+        # one matrix instead of a stacked copy per run.
         shared_inputs = all(x is features_list[0] for x in features_list) and all(
             y is labels_list[0] for y in labels_list
         )
@@ -469,35 +482,29 @@ class BatchedTrainer:
         histories = [TrainingHistory() for _ in range(group_size)]
         start_time = time.perf_counter()
 
+        # Every run trains on rows of one 2-D source matrix: the shared
+        # matrix itself on the pre-split path, or the runs' arrays stacked
+        # into (group * samples, features), run g's rows from g * samples on.
+        num_samples = first_shape[0]
+        if shared_inputs:
+            source_x, source_y = features_list[0], labels_list[0]
+        else:
+            source_x, source_y = np.concatenate(features_list), np.concatenate(labels_list)
+        encoded_y = one_hot(source_y, spec.output_size)
+        offsets = np.arange(group_size)[:, None] * (0 if shared_inputs else num_samples)
+
         # Per-candidate RNG streams, consumed in the scalar trainer's order:
         # one permutation for the validation split, then one per active epoch.
+        # A run keeps source-row indices; batches are gathered through them,
+        # and only the validation rows are copied, once.
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        split = self._split_validation(features_list, labels_list, rngs)
-        if split is not None:
-            stacked_train_x, stacked_train_y, stacked_val_x, stacked_val_y = split
+        val_count = _validation_count(config, num_samples)
+        if val_count:
+            splits = np.stack([rng.permutation(num_samples) for rng in rngs]) + offsets
         else:
-            stacked_val_x = stacked_val_y = None
-        # When every run trains on the same array objects (the shared
-        # pre-split path — a validation split would have produced per-run
-        # gathers), broadcast stride-0 views replace the stacked copies and
-        # the one-hot encoding is computed once.  Every downstream op sees
-        # identical values, so results stay bit-identical.
-        if split is None and shared_inputs:
-            base_train_x = features_list[0]
-            base_encoded = one_hot(labels_list[0], spec.output_size)
-            encoded_train_y = np.broadcast_to(
-                base_encoded, (group_size, *base_encoded.shape)
-            )
-            stacked_train_x = np.broadcast_to(
-                base_train_x, (group_size, *base_train_x.shape)
-            )
-        else:
-            base_train_x = None
-            base_encoded = None
-            if split is None:
-                stacked_train_x = np.stack(features_list)
-                stacked_train_y = np.stack(labels_list)
-            encoded_train_y = np.stack([one_hot(y, spec.output_size) for y in stacked_train_y])
+            splits = np.arange(num_samples) + offsets
+        val_idx, train_idx = splits[:, :val_count], splits[:, val_count:]
+        val_x, val_y = source_x[val_idx], source_y[val_idx]
 
         model = StackedMLPGroup(spec, seeds)
         optimizer = _build_batched_optimizer(
@@ -506,7 +513,7 @@ class BatchedTrainer:
 
         best_val_accuracy = np.full(group_size, -np.inf)
         epochs_without_improvement = np.zeros(group_size, dtype=int)
-        num_samples = stacked_train_x.shape[1]
+        train_count = train_idx.shape[1]
         active = list(range(group_size))
 
         for epoch in range(config.epochs):
@@ -518,25 +525,17 @@ class BatchedTrainer:
             row_sel: np.ndarray | slice = (
                 slice(None) if len(active) == group_size else rows
             )
+            epoch_idx = train_idx[rows]
             if config.shuffle:
-                orders = np.stack([rngs[g].permutation(num_samples) for g in active])
-            else:
-                orders = np.broadcast_to(
-                    np.arange(num_samples), (len(active), num_samples)
-                )
+                orders = np.stack([rngs[g].permutation(train_count) for g in active])
+                epoch_idx = np.take_along_axis(epoch_idx, orders, axis=1)
             step_losses: list[np.ndarray] = []
-            for start in range(0, num_samples, config.batch_size):
-                batch_idx = orders[:, start : start + config.batch_size]
-                if base_train_x is not None:
-                    # Shared data: a single-axis gather from the 2-D base
-                    # yields the same (active, batch, features) tensor as the
-                    # two-axis gather from the stacked copies.
-                    batch_x = base_train_x[batch_idx]
-                    batch_t = base_encoded[batch_idx]
-                else:
-                    batch_x = stacked_train_x[rows[:, None], batch_idx]
-                    batch_t = encoded_train_y[rows[:, None], batch_idx]
-                losses, gradients = model.train_step(batch_x, batch_t, row_sel)
+            for start in range(0, train_count, config.batch_size):
+                # One single-axis gather yields each run's own batch rows.
+                batch_idx = epoch_idx[:, start : start + config.batch_size]
+                losses, gradients = model.train_step(
+                    source_x[batch_idx], encoded_y[batch_idx], row_sel
+                )
                 optimizer.step(model.flat_parameters, gradients, row_sel)
                 step_losses.append(losses)
 
@@ -547,21 +546,12 @@ class BatchedTrainer:
                 if step_losses
                 else [float("nan")] * len(active)
             )
-            if base_train_x is not None:
-                train_predictions = model.predict(base_train_x, row_sel)
-                train_accuracies = _accuracies(train_predictions, labels_list[0])
-            else:
-                train_predictions = model.predict_members(stacked_train_x, active)
-                train_accuracies = _accuracies(train_predictions, stacked_train_y[rows])
             for position, g in enumerate(active):
                 histories[g].train_loss.append(epoch_losses[position])
-                histories[g].train_accuracy.append(train_accuracies[position])
                 histories[g].epochs_run = epoch + 1
 
-            if stacked_val_x is not None:
-                val_accuracies = _accuracies(
-                    model.predict_members(stacked_val_x, active), stacked_val_y[rows]
-                )
+            if val_count:
+                val_accuracies = _accuracies(model.predict_members(val_x, active), val_y[rows])
                 stopped: set[int] = set()
                 for position, g in enumerate(active):
                     val_accuracy = val_accuracies[position]
@@ -584,41 +574,6 @@ class BatchedTrainer:
         for history in histories:
             history.wall_time_seconds = wall_time
         return model, histories
-
-    def _split_validation(
-        self,
-        features_list: list[np.ndarray],
-        labels_list: list[np.ndarray],
-        rngs: list[np.random.Generator],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Per-run validation holdout, mirroring ``Trainer._split_validation``.
-
-        Returns the stacked ``(train_x, train_y, val_x, val_y)``, or ``None``
-        when no validation split is taken.  Each run's rows are gathered
-        straight into its slice of the stacks, so the split holds one copy of
-        the group's data, not a per-run gather plus a stacked copy.
-        """
-        config = self.config
-        if config.validation_fraction <= 0.0 or config.early_stopping_patience == 0:
-            return None
-        num_samples, num_features = features_list[0].shape
-        val_count = int(round(config.validation_fraction * num_samples))
-        if val_count < 1 or num_samples - val_count < 1:
-            return None
-        group_size = len(features_list)
-        train_count = num_samples - val_count
-        train_x = np.empty((group_size, train_count, num_features))
-        val_x = np.empty((group_size, val_count, num_features))
-        train_y = np.empty((group_size, train_count), dtype=labels_list[0].dtype)
-        val_y = np.empty((group_size, val_count), dtype=labels_list[0].dtype)
-        for g, (features, labels, rng) in enumerate(zip(features_list, labels_list, rngs)):
-            order = rng.permutation(num_samples)
-            val_idx, train_idx = order[:val_count], order[val_count:]
-            np.take(features, train_idx, axis=0, out=train_x[g])
-            np.take(labels, train_idx, axis=0, out=train_y[g])
-            np.take(features, val_idx, axis=0, out=val_x[g])
-            np.take(labels, val_idx, axis=0, out=val_y[g])
-        return train_x, train_y, val_x, val_y
 
 
 def train_and_score_batch(

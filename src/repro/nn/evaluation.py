@@ -269,8 +269,8 @@ def _prepare_chunk(builders: list[Callable[[], _Run]], standardize: bool) -> lis
 
     Each distinct input array is converted once: runs that share array
     objects (the shared pre-split path) keep sharing them after conversion,
-    which lets the batched trainer stack the group with zero-copy broadcast
-    views instead of per-run copies.
+    which lets the batched trainer gather every run's batches from the one
+    matrix instead of a stacked copy.
     """
     label_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

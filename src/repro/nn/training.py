@@ -2,9 +2,13 @@
 
 Each co-design candidate that reaches a worker is trained from scratch with a
 bounded budget (epochs, early stopping patience).  The trainer records a
-per-epoch history so the analysis layer can inspect convergence, and it
-measures wall-clock training time because Table III of the paper reports
-average and total evaluation time.
+per-epoch history (mean training loss, validation accuracy) so the analysis
+layer can inspect convergence, and it measures wall-clock training time
+because Table III of the paper reports average and total evaluation time.
+
+The validation holdout is a split of row indices, not of rows: each
+mini-batch is gathered straight from the caller's matrix through the run's
+train indices, and only the small validation slice is copied, once.
 """
 
 from __future__ import annotations
@@ -75,10 +79,16 @@ class TrainingConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch record of one training run."""
+    """Per-epoch record of one training run.
+
+    ``train_loss`` holds the mean mini-batch loss of each epoch run and
+    ``validation_accuracy`` the held-out accuracy after it (empty when no
+    validation split is taken).  Accuracy on the train split is not
+    recorded: measuring it would cost a forward pass over every training
+    row each epoch.
+    """
 
     train_loss: list[float] = field(default_factory=list)
-    train_accuracy: list[float] = field(default_factory=list)
     validation_accuracy: list[float] = field(default_factory=list)
     epochs_run: int = 0
     stopped_early: bool = False
@@ -97,6 +107,16 @@ class TrainingHistory:
         if not self.train_loss:
             return float("nan")
         return self.train_loss[-1]
+
+
+def _validation_count(config: TrainingConfig, num_samples: int) -> int:
+    """Rows held out for early stopping, or ``0`` when no validation split is taken."""
+    if config.validation_fraction <= 0.0 or config.early_stopping_patience == 0:
+        return 0
+    count = int(round(config.validation_fraction * num_samples))
+    if count < 1 or num_samples - count < 1:
+        return 0
+    return count
 
 
 class Trainer:
@@ -151,29 +171,31 @@ class Trainer:
         history = TrainingHistory()
         start_time = time.perf_counter()
 
-        train_x, train_y, val_x, val_y = self._split_validation(features, labels)
-        encoded_train_y = one_hot(train_y, model.spec.output_size)
+        num_samples = features.shape[0]
+        val_count = _validation_count(config, num_samples)
+        # The validation permutation is drawn first, before any epoch's.
+        split = self._rng.permutation(num_samples) if val_count else np.arange(num_samples)
+        val_idx, train_idx = split[:val_count], split[val_count:]
+        encoded_labels = one_hot(labels, model.spec.output_size)
+        val_x, val_y = features[val_idx], labels[val_idx]
 
         best_val_accuracy = -np.inf
         epochs_without_improvement = 0
-        num_samples = train_x.shape[0]
+        train_count = train_idx.shape[0]
 
         for epoch in range(config.epochs):
-            order = (
-                self._rng.permutation(num_samples) if config.shuffle else np.arange(num_samples)
-            )
+            epoch_idx = train_idx[self._rng.permutation(train_count)] if config.shuffle else train_idx
             epoch_losses: list[float] = []
-            for start in range(0, num_samples, config.batch_size):
-                batch_idx = order[start : start + config.batch_size]
-                loss_value = model.train_step(train_x[batch_idx], encoded_train_y[batch_idx])
+            for start in range(0, train_count, config.batch_size):
+                batch_idx = epoch_idx[start : start + config.batch_size]
+                loss_value = model.train_step(features[batch_idx], encoded_labels[batch_idx])
                 optimizer.step(model.parameters(), model.gradients())
                 epoch_losses.append(loss_value)
 
             history.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-            history.train_accuracy.append(accuracy(model.predict(train_x), train_y))
             history.epochs_run = epoch + 1
 
-            if val_x is not None:
+            if val_count:
                 val_accuracy = accuracy(model.predict(val_x), val_y)
                 history.validation_accuracy.append(val_accuracy)
                 if val_accuracy > best_val_accuracy + 1e-9:
@@ -190,18 +212,3 @@ class Trainer:
 
         history.wall_time_seconds = time.perf_counter() - start_time
         return history
-
-    def _split_validation(
-        self, features: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Hold out a validation slice when early stopping is enabled."""
-        config = self.config
-        if config.validation_fraction <= 0.0 or config.early_stopping_patience == 0:
-            return features, labels, None, None
-        num_samples = features.shape[0]
-        val_count = int(round(config.validation_fraction * num_samples))
-        if val_count < 1 or num_samples - val_count < 1:
-            return features, labels, None, None
-        order = self._rng.permutation(num_samples)
-        val_idx, train_idx = order[:val_count], order[val_count:]
-        return features[train_idx], labels[train_idx], features[val_idx], labels[val_idx]

@@ -18,12 +18,16 @@ use (e.g. hardware-only sweeps).
 
 from __future__ import annotations
 
+import logging
+
 from ..hardware.device import ARRIA10_GX1150, FPGADevice
 from ..hardware.fpga_model import FPGAPerformanceModel
 from ..hardware.memory import DDR4_BANK, MemorySystem
 from .base import EvaluationRequest, Worker, WorkerReport, register_worker
 
 __all__ = ["HardwareDatabaseWorker"]
+
+logger = logging.getLogger(__name__)
 
 
 class HardwareDatabaseWorker(Worker):
@@ -83,7 +87,9 @@ class HardwareDatabaseWorker(Worker):
         :func:`~repro.hardware.vectorized.evaluate_workloads`, which produces
         metrics bit-identical to per-request :meth:`evaluate`.  Requests with
         missing dimensions or infeasible grids keep going through the scalar
-        path so their error strings match.
+        path so their error strings match.  If the vectorized sweep itself
+        fails, the feasible requests are redone one at a time too, and the
+        fallback logs one warning.
         """
         from ..hardware.vectorized import evaluate_workloads
 
@@ -110,7 +116,14 @@ class HardwareDatabaseWorker(Worker):
         if workloads:
             try:
                 batched = evaluate_workloads(self.model, workloads)
-            except Exception:  # noqa: BLE001 - fused path failed; redo scalar
+            except Exception as exc:  # noqa: BLE001 - fused path failed; redo scalar
+                logger.warning(
+                    "vectorized model of a %d-request group failed (%r); "
+                    "redoing it one request at a time",
+                    len(workloads),
+                    exc,
+                    exc_info=True,
+                )
                 batched = None
             if batched is None:
                 for (position, _spec), _workload in zip(batched_positions, workloads):

@@ -20,6 +20,7 @@ turns the worker into a pure training worker for accuracy-only searches.
 
 from __future__ import annotations
 
+import logging
 import time
 from functools import partial
 
@@ -30,6 +31,8 @@ from ..nn.preprocessing import train_test_split
 from .base import EvaluationRequest, Worker, WorkerReport, register_worker
 
 __all__ = ["SimulationWorker"]
+
+logger = logging.getLogger(__name__)
 
 #: A k-fold candidate whose dataset has at most this many feature elements
 #: (rows x features, 4 MB of float64) trains its folds as one stacked group;
@@ -171,9 +174,11 @@ class SimulationWorker(Worker):
         transform) is done once per dataset via
         :func:`~repro.datasets.prepared.prepare_dataset`.  Any group that
         fails the fused path is redone request by request with
-        :meth:`evaluate`, so error reports match the single-request path.
-        That retry is not always scalar: :meth:`evaluate` still stacks the
-        folds of a small k-fold dataset, one candidate at a time.
+        :meth:`evaluate`, so error reports match the single-request path,
+        and logs one warning: the fallback costs only speed, so it would
+        otherwise hide a fused-path bug.  That retry is not always scalar:
+        :meth:`evaluate` still stacks the folds of a small k-fold dataset,
+        one candidate at a time.
         """
         reports: list[WorkerReport | None] = [None] * len(requests)
         groups: dict[tuple, list[int]] = {}
@@ -198,7 +203,14 @@ class SimulationWorker(Worker):
             group = [requests[p] for p in positions]
             try:
                 group_reports = self._evaluate_group(group)
-            except Exception:  # noqa: BLE001 - fused group failed; redo per request
+            except Exception as exc:  # noqa: BLE001 - fused group failed; redo per request
+                logger.warning(
+                    "fused training of a %d-request group failed (%r); "
+                    "redoing it one request at a time",
+                    len(group),
+                    exc,
+                    exc_info=True,
+                )
                 group_reports = [self.evaluate(request) for request in group]
             for position, report in zip(positions, group_reports):
                 reports[position] = report

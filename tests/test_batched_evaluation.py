@@ -316,6 +316,63 @@ class TestHardwareDatabaseWorkerBatch:
         assert batched[2].failed
 
 
+class TestFusedFallbackIsLogged:
+    """A failed fused group is redone per request and leaves one WARNING."""
+
+    def test_simulation_group_failure_warns_once(
+        self, monkeypatch, caplog, tiny_dataset, small_grid, fast_training_config
+    ):
+        worker = SimulationWorker(gpu=TITAN_X)
+        genomes = _genomes(small_grid)
+        # Three requests of one topology: a single fused group.
+        requests = _requests([genomes[0], genomes[1], genomes[4]], tiny_dataset, fast_training_config)
+
+        def broken(group):
+            raise RuntimeError("fused path broke")
+
+        monkeypatch.setattr(worker, "_evaluate_group", broken)
+        with caplog.at_level("WARNING", logger="repro.workers.simulation"):
+            batched = worker.evaluate_batch(requests)
+        records = [r for r in caplog.records if r.name == "repro.workers.simulation"]
+        assert len(records) == 1
+        assert records[0].levelname == "WARNING"
+        assert "fused path broke" in records[0].getMessage()
+        assert "3-request group" in records[0].getMessage()
+        for batched_report, req in zip(batched, requests):
+            _assert_reports_identical(batched_report, worker.evaluate(req))
+
+    def test_hardware_db_sweep_failure_warns_once(
+        self, monkeypatch, caplog, tiny_dataset, small_grid, fast_training_config
+    ):
+        from repro.hardware import vectorized
+
+        worker = HardwareDatabaseWorker(device=ARRIA10_GX1150)
+        requests = _requests(_genomes(small_grid), tiny_dataset, fast_training_config)
+
+        def broken(model, workloads):
+            raise RuntimeError("sweep broke")
+
+        monkeypatch.setattr(vectorized, "evaluate_workloads", broken)
+        with caplog.at_level("WARNING", logger="repro.workers.hardware_db"):
+            batched = worker.evaluate_batch(requests)
+        records = [r for r in caplog.records if r.name == "repro.workers.hardware_db"]
+        assert len(records) == 1
+        assert records[0].levelname == "WARNING"
+        assert "sweep broke" in records[0].getMessage()
+        assert f"{len(requests)}-request group" in records[0].getMessage()
+        for batched_report, req in zip(batched, requests):
+            _assert_reports_identical(batched_report, worker.evaluate(req))
+
+    def test_working_fused_paths_log_nothing(
+        self, caplog, tiny_dataset, small_grid, fast_training_config
+    ):
+        requests = _requests(_genomes(small_grid), tiny_dataset, fast_training_config)
+        with caplog.at_level("WARNING"):
+            SimulationWorker(gpu=TITAN_X).evaluate_batch(requests)
+            HardwareDatabaseWorker(device=ARRIA10_GX1150).evaluate_batch(requests)
+        assert not [r for r in caplog.records if r.name.startswith("repro.workers")]
+
+
 class TestMasterBatch:
     def _master(self, dataset, training_config, backend=None) -> Master:
         return Master(

@@ -9,6 +9,7 @@ every accuracy, loss curve and early-stop epoch must match to the last bit
 
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.nn.evaluation import (
     evaluate_single_fold_batch,
 )
 from repro.nn.mlp import MLP
+from repro.nn.optimizers import get_optimizer
+from repro.nn.preprocessing import one_hot
 from repro.nn.training import Trainer
 
 
@@ -40,7 +43,6 @@ def _dataset(seed: int = 0, samples: int = 160, features: int = 12, classes: int
 
 def _assert_histories_identical(batched, scalar) -> None:
     assert batched.train_loss == scalar.train_loss
-    assert batched.train_accuracy == scalar.train_accuracy
     assert batched.validation_accuracy == scalar.validation_accuracy
     assert batched.epochs_run == scalar.epochs_run
     assert batched.stopped_early == scalar.stopped_early
@@ -152,6 +154,42 @@ class TestBatchedTrainerEquivalence:
             stop_epochs.add(scalar_history.epochs_run)
         assert len(stop_epochs) > 1
 
+    @pytest.mark.parametrize("inputs", ["shared", "distinct"])
+    def test_unshuffled_validation_split_with_staggered_stops_matches_scalar(self, inputs):
+        # Without shuffling every epoch walks each run's train indices in
+        # split order; the shared path gathers from the one caller matrix,
+        # the distinct path from the runs' stacked copies.
+        config = TrainingConfig(
+            epochs=20,
+            batch_size=16,
+            learning_rate=0.05,
+            early_stopping_patience=2,
+            shuffle=False,
+        )
+        seeds = [0, 1, 2, 3, 4, 5]
+        if inputs == "shared":
+            dataset = _dataset(seed=3, samples=200)
+            datasets = [dataset] * len(seeds)
+        else:
+            datasets = [_dataset(seed=20 + seed, samples=200) for seed in seeds]
+        group, histories = BatchedTrainer(config).fit(
+            SPEC,
+            [dataset.features for dataset in datasets],
+            [dataset.labels for dataset in datasets],
+            seeds=seeds,
+        )
+        stop_epochs = set()
+        for position, (seed, dataset) in enumerate(zip(seeds, datasets)):
+            scalar_model, scalar_history = _scalar_fit(
+                SPEC, config, dataset.features, dataset.labels, seed=seed
+            )
+            _assert_histories_identical(histories[position], scalar_history)
+            for index, layer in enumerate(scalar_model.layers):
+                assert np.array_equal(group.weights[index][position], layer.weights)
+                assert np.array_equal(group.biases[index][position], layer.bias)
+            stop_epochs.add(scalar_history.epochs_run)
+        assert len(stop_epochs) > 1
+
     def test_no_bias_and_no_shuffle(self):
         dataset = _dataset(seed=4)
         spec = MLPSpec(
@@ -200,6 +238,119 @@ class TestBatchedTrainerEquivalence:
 
             assert score == accuracy(model.predict(test.features), test.labels)
             _assert_histories_identical(history, scalar_history)
+
+
+def _materialized_split_fit(model, features, labels, config, seed):
+    """Reference copy of ``Trainer.fit`` from before it trained on row indices.
+
+    It copies the train and validation rows out of ``features`` and predicts
+    on the train split after every epoch, as the trainer did then.  Returns
+    ``(train_loss, validation_accuracy, epochs_run, stopped_early)``.
+    """
+    rng = np.random.default_rng(seed)
+    optimizer = get_optimizer(config.optimizer, learning_rate=config.learning_rate)
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels).reshape(-1).astype(int)
+
+    train_x, train_y, val_x, val_y = features, labels, None, None
+    num_samples = features.shape[0]
+    val_count = int(round(config.validation_fraction * num_samples))
+    if (
+        config.validation_fraction > 0.0
+        and config.early_stopping_patience != 0
+        and val_count >= 1
+        and num_samples - val_count >= 1
+    ):
+        order = rng.permutation(num_samples)
+        val_idx, train_idx = order[:val_count], order[val_count:]
+        train_x, train_y = features[train_idx], labels[train_idx]
+        val_x, val_y = features[val_idx], labels[val_idx]
+    encoded_train_y = one_hot(train_y, model.spec.output_size)
+
+    train_loss: list[float] = []
+    validation_accuracy: list[float] = []
+    best_val_accuracy = -np.inf
+    epochs_without_improvement = 0
+    epochs_run, stopped_early = 0, False
+    num_samples = train_x.shape[0]
+    for epoch in range(config.epochs):
+        order = rng.permutation(num_samples) if config.shuffle else np.arange(num_samples)
+        epoch_losses = []
+        for start in range(0, num_samples, config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            epoch_losses.append(model.train_step(train_x[batch_idx], encoded_train_y[batch_idx]))
+            optimizer.step(model.parameters(), model.gradients())
+        train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
+        model.predict(train_x)  # the per-epoch train-split prediction
+        epochs_run = epoch + 1
+        if val_x is not None:
+            val_accuracy = float(np.mean(model.predict(val_x) == val_y))
+            validation_accuracy.append(val_accuracy)
+            if val_accuracy > best_val_accuracy + 1e-9:
+                best_val_accuracy = val_accuracy
+                epochs_without_improvement = 0
+            else:
+                epochs_without_improvement += 1
+            if (
+                config.early_stopping_patience > 0
+                and epochs_without_improvement >= config.early_stopping_patience
+            ):
+                stopped_early = True
+                break
+    return train_loss, validation_accuracy, epochs_run, stopped_early
+
+
+class TestTrainerMatchesMaterializedSplit:
+    """The index-split ``Trainer`` changes no bit against the copied-rows loop."""
+
+    @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffle", "no-shuffle"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("patience", [2, 0], ids=["validation", "no-validation"])
+    def test_fit_matches_reference_loop(self, optimizer, shuffle, patience):
+        dataset = _dataset(seed=3, samples=200)
+        config = TrainingConfig(
+            epochs=12,
+            batch_size=16,
+            optimizer=optimizer,
+            learning_rate=0.05,
+            early_stopping_patience=patience,
+            shuffle=shuffle,
+        )
+        for seed in (0, 1, 2):
+            model, history = _scalar_fit(SPEC, config, dataset.features, dataset.labels, seed)
+            reference = MLP(SPEC, seed=seed)
+            train_loss, validation_accuracy, epochs_run, stopped_early = _materialized_split_fit(
+                reference, dataset.features, dataset.labels, config, seed
+            )
+            assert history.train_loss == train_loss
+            assert history.validation_accuracy == validation_accuracy
+            assert (history.epochs_run, history.stopped_early) == (epochs_run, stopped_early)
+            for layer, reference_layer in zip(model.layers, reference.layers):
+                assert np.array_equal(layer.weights, reference_layer.weights)
+                assert np.array_equal(layer.bias, reference_layer.bias)
+            assert bool(validation_accuracy) == (patience > 0)
+
+
+class TestTrainingMemory:
+    def test_shared_matrix_with_validation_split_copies_no_train_rows(self):
+        # 8 runs over one shared (N, F) matrix: the group gathers each
+        # mini-batch from it, so only the validation rows (10%) are copied.
+        group_size, samples, features = 8, 2000, 100
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(samples, features))
+        labels = rng.integers(0, 3, size=samples)
+        spec = MLPSpec(input_size=features, output_size=3, hidden_sizes=(8,), activations=("relu",))
+        config = TrainingConfig(epochs=2, batch_size=64, early_stopping_patience=5)
+        one_copy = group_size * samples * features * 8
+        tracemalloc.start()
+        try:
+            BatchedTrainer(config).fit(
+                spec, [data] * group_size, [labels] * group_size, seeds=list(range(group_size))
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_copy / 2, f"peak {peak / 1e6:.1f} MB vs one copy {one_copy / 1e6:.1f} MB"
 
 
 class TestFlatParameterLayout:

@@ -287,7 +287,7 @@ def _train_wide_mlp(seed: int) -> tuple[np.ndarray, np.ndarray]:
             seed=seed,
         )
         losses += result.histories[0].train_loss
-        accuracies += [result.accuracy, *result.histories[0].train_accuracy]
+        accuracies.append(result.accuracy)
     return (
         np.asarray(losses, dtype=np.float64).view(np.int64),
         np.asarray(accuracies, dtype=np.float64).view(np.int64),
