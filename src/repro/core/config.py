@@ -11,7 +11,8 @@ Note that the configuration file can be generated automatically based on an
 existing template configuration file and the dataset."
 
 :class:`ECADConfig` is that file in object form: it can be loaded from / saved
-to JSON, validated, and turned into the concrete objects the search needs
+to JSON (through the strict :class:`JSONConfig` codec every configuration
+class shares), validated, and turned into the concrete objects the search needs
 (search space, fitness objectives, engine configuration, devices).  The
 ``template_for_dataset`` constructor implements the automatic generation from
 a dataset.
@@ -19,10 +20,11 @@ a dataset.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from ..datasets.base import Dataset, DatasetInfo
 from ..hardware.device import FPGADevice, GPUDevice, fpga_device, gpu_device
@@ -34,6 +36,7 @@ from .genome import CoDesignSearchSpace, HardwareSearchSpace, MLPSearchSpace
 from .mutation import MutationConfig
 
 __all__ = [
+    "JSONConfig",
     "NNAStructureConfig",
     "HardwareTargetConfig",
     "OptimizationTargetConfig",
@@ -46,9 +49,204 @@ __all__ = [
 ]
 
 
+#: Nouns for field types in decoding errors (``float`` fields accept ints).
+_TYPE_NOUNS = {bool: "bool", int: "int", float: "number", str: "string", dict: "object"}
+
+
+class JSONConfig:
+    """Strict JSON codec shared by the frozen configuration dataclasses.
+
+    Every configuration class (this module's sections, ``ExperimentSpec``,
+    ``ArenaConfig``) inherits ``to_dict`` / ``from_dict`` / ``save`` /
+    ``load`` / ``with_overrides`` from here; the dataclass fields are the
+    only schema.  Decoding walks the fields and their type hints: a missing
+    key takes the field default, an unknown key is rejected, a nested
+    dataclass is a section, ``X | None`` accepts ``null``, and every other
+    value must already have its field's type — ``bool`` only a bool, ``int``
+    an int but not a bool, ``float`` an int or float (stored as float),
+    ``str`` only a string, a tuple only a list or tuple (each item checked).
+    Anything else raises :class:`ConfigurationError` naming the dotted key.
+    ``__post_init__`` then applies each class's own value checks.
+    """
+
+    #: Name used in error messages ("unknown <section> key ...").
+    section = "configuration"
+    #: Optional prefix ``with_overrides`` strips from each key.
+    override_prefix = ""
+
+    def to_dict(self) -> dict:
+        """JSON-serializable representation (tuples become lists)."""
+        return {spec.name: _encode(getattr(self, spec.name)) for spec in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        """Strict inverse of :meth:`to_dict`."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"malformed {cls.section}: expected an object, got {type(data).__name__}"
+            )
+        return _decode_section(cls, data, prefix="", root=cls.section)
+
+    def save(self, path: str | Path) -> None:
+        """Write the configuration to a JSON file."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """Read a configuration from a JSON file."""
+        path = Path(path)
+        if not path.exists():
+            raise ConfigurationError(f"{cls.section} file not found: {path}")
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{cls.section} file {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
+
+    def with_overrides(self, assignments: Mapping[str, object] | Iterable[str]):
+        """Apply dotted-key overrides and return the re-validated configuration.
+
+        ``assignments`` is either a mapping of dotted keys to values
+        (``{"nna.max_layers": 6}``) or an iterable of CLI-style
+        ``"key=value"`` strings (values parsed as JSON when possible).  This
+        is the machinery behind the ``--set`` flag and the experiment specs'
+        ``overrides`` section; unknown keys are rejected, and the values go
+        through the same strict decoding as a configuration file.
+        """
+        if isinstance(assignments, Mapping):
+            pairs = [(str(key), value) for key, value in assignments.items()]
+        else:
+            pairs = [parse_override(assignment) for assignment in assignments]
+        data = self.to_dict()
+        for dotted_key, value in pairs:
+            parts = [part for part in dotted_key.removeprefix(self.override_prefix).split(".") if part]
+            if not parts:
+                raise ConfigurationError(f"empty override key in {dotted_key!r}")
+            node = data
+            for part in parts[:-1]:
+                if not isinstance(node.get(part), dict):
+                    raise ConfigurationError(
+                        f"unknown {self.section} key {dotted_key!r} (no section {part!r})"
+                    )
+                node = node[part]
+            if parts[-1] not in node:
+                raise ConfigurationError(
+                    f"unknown {self.section} key {dotted_key!r}; "
+                    f"known keys here: {', '.join(sorted(node))}"
+                )
+            node[parts[-1]] = value
+        return type(self).from_dict(data)
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """``(field, type hint)`` pairs of a configuration dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((spec, hints[spec.name]) for spec in fields(cls))
+
+
+def _encode(value):
+    if isinstance(value, JSONConfig):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
+
+
+def _decode_section(cls, data: Mapping, prefix: str, root: str):
+    schema = _schema(cls)
+    unknown = sorted(set(data) - {spec.name for spec, _ in schema})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {cls.section} key(s): {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(spec.name for spec, _ in schema))}"
+        )
+    kwargs = {}
+    for spec, hint in schema:
+        key = prefix + spec.name
+        if spec.name not in data:
+            if spec.default is MISSING and spec.default_factory is MISSING:
+                raise ConfigurationError(f"malformed {root}: missing required key {key!r}")
+            continue
+        value = data[spec.name]
+        if is_dataclass(hint):
+            if not isinstance(value, Mapping):
+                raise ConfigurationError(
+                    f"malformed {root}: {key!r} expects an object, got {value!r}"
+                )
+            kwargs[spec.name] = _decode_section(hint, value, key + ".", root)
+            continue
+        try:
+            kwargs[spec.name] = _decode_value(value, hint)
+        except TypeError:
+            raise ConfigurationError(
+                f"malformed {root}: {key!r} expects {_noun(hint)}, got {value!r}"
+            ) from None
+    return cls(**kwargs)
+
+
+def _decode_value(value, hint):
+    """``value`` checked against ``hint``; raises ``TypeError`` on a mismatch."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(items) == len(value):
+                return tuple(_decode_value(item, sub) for item, sub in zip(value, items))
+    elif type(None) in args:  # X | None
+        return None if value is None else _decode_value(value, args[0])
+    elif hint is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif hint is dict:
+        if isinstance(value, Mapping):
+            return dict(value)
+    elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
+        return value
+    raise TypeError(value)
+
+
+def _noun(hint) -> str:
+    """How a decoding error names the type a field expects."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return f"list of {_noun(args[0])}s"
+        arity = "triple" if len(args) == 3 else f"{len(args)}-item list"
+        return f"[{', '.join(map(_noun, args))}] {arity}"
+    if type(None) in args:
+        return f"{_noun(args[0])} or null"
+    return _TYPE_NOUNS[hint]
+
+
+def parse_override_value(text: str):
+    """Parse a ``--set`` value: JSON when possible, bare string otherwise."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, TypeError):
+        return text
+
+
+def parse_override(assignment: str) -> tuple[str, object]:
+    """Split one ``key=value`` assignment into a dotted key and parsed value."""
+    key, separator, raw = str(assignment).partition("=")
+    key = key.strip()
+    if not separator or not key:
+        raise ConfigurationError(
+            f"override {assignment!r} is not of the form key=value (e.g. nna.max_layers=6)"
+        )
+    return key, parse_override_value(raw)
+
+
 @dataclass(frozen=True)
-class NNAStructureConfig:
+class NNAStructureConfig(JSONConfig):
     """Section (a) of the configuration file: the NNA structure and bounds."""
+
+    section = "nna"
 
     input_size: int
     output_size: int
@@ -76,7 +274,7 @@ class NNAStructureConfig:
 
 
 @dataclass(frozen=True)
-class HardwareTargetConfig:
+class HardwareTargetConfig(JSONConfig):
     """Section (b) of the configuration file: the hardware targets.
 
     Attributes
@@ -92,6 +290,8 @@ class HardwareTargetConfig:
     fpga_batch_sizes / gpu_batch_sizes:
         Batch-size choices exposed to the search.
     """
+
+    section = "hardware"
 
     fpga: str = "arria10"
     ddr_banks: int = 0
@@ -121,7 +321,7 @@ class HardwareTargetConfig:
 
 
 @dataclass(frozen=True)
-class OptimizationTargetConfig:
+class OptimizationTargetConfig(JSONConfig):
     """Section (c) of the configuration file: what the search optimizes.
 
     Each target is ``(objective name, weight, maximize)``; the default is the
@@ -131,6 +331,8 @@ class OptimizationTargetConfig:
     instead of fitness penalties — violating candidates are infeasible and
     never selected, bred from, or admitted to the frontier.
     """
+
+    section = "optimization"
 
     objectives: tuple[tuple[str, float, bool], ...] = (
         ("accuracy", 1.0, True),
@@ -180,7 +382,7 @@ class OptimizationTargetConfig:
 
 
 @dataclass(frozen=True)
-class StoreConfig:
+class StoreConfig(JSONConfig):
     """Persistent evaluation-store settings (the ``store`` config section).
 
     Attributes
@@ -210,6 +412,8 @@ class StoreConfig:
         fails with a hint to run ``ecad store migrate``.
     """
 
+    section = "store"
+
     path: str = ""
     enabled: bool = True
     readonly: bool = False
@@ -230,24 +434,10 @@ class StoreConfig:
         """Whether a store should actually be opened for this run."""
         return self.enabled and bool(self.path)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StoreConfig":
-        """Strict parse of the ``store`` configuration section."""
-        _reject_unknown_keys(data, _STORE_KEYS, section="store")
-        try:
-            return cls(
-                path=str(data.get("path", "")),
-                enabled=bool(data.get("enabled", True)),
-                readonly=bool(data.get("readonly", False)),
-                warm_start=int(data.get("warm_start", 0)),
-                shards=int(data.get("shards", 1)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed store section: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
-class SurrogateConfig:
+class SurrogateConfig(JSONConfig):
     """Surrogate-assisted search settings (the ``surrogate`` config section).
 
     When enabled, the ``surrogate`` strategy wraps the base evolutionary (or
@@ -305,6 +495,8 @@ class SurrogateConfig:
         always survives).
     """
 
+    section = "surrogate"
+
     enabled: bool = True
     base: str = "evolutionary"
     min_rows: int = 24
@@ -361,29 +553,10 @@ class SurrogateConfig:
         """Whether the surrogate screen should be built for this run."""
         return self.enabled
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SurrogateConfig":
-        """Strict parse of the ``surrogate`` configuration section."""
-        _reject_unknown_keys(data, _SURROGATE_KEYS, section="surrogate")
-        try:
-            return cls(
-                enabled=bool(data.get("enabled", True)),
-                base=str(data.get("base", "evolutionary")),
-                min_rows=int(data.get("min_rows", 24)),
-                pool_size=int(data.get("pool_size", 8)),
-                exploration_fraction=float(data.get("exploration_fraction", 0.15)),
-                confidence=float(data.get("confidence", 0.8)),
-                refit_interval=int(data.get("refit_interval", 8)),
-                rung_epochs=tuple(int(e) for e in data.get("rung_epochs", ())),
-                rung_survivors=int(data.get("rung_survivors", 2)),
-                promote_fraction=float(data.get("promote_fraction", 0.5)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed surrogate section: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(JSONConfig):
     """Settings of the long-lived ``ecad serve`` co-design service.
 
     Attributes
@@ -416,6 +589,8 @@ class ServiceConfig:
         Upper bound (seconds) on how long ``GET /jobs/{id}/frontier`` holds
         a long-poll open before answering with no new events.
     """
+
+    section = "service config"
 
     host: str = "127.0.0.1"
     port: int = 8282
@@ -456,87 +631,9 @@ class ServiceConfig:
         """Root of the per-job artifact directories."""
         return Path(self.data_dir) / "jobs"
 
-    # ---------------------------------------------------------------- JSON
-    def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ServiceConfig":
-        """Strict parse; unknown keys are rejected."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"malformed service configuration: expected an object, got {type(data).__name__}"
-            )
-        _reject_unknown_keys(data, _SERVICE_KEYS, section="service")
-        try:
-            return cls(
-                host=str(data.get("host", "127.0.0.1")),
-                port=int(data.get("port", 8282)),
-                data_dir=str(data.get("data_dir", "ecad-service")),
-                queue_path=str(data.get("queue_path", "")),
-                store_path=str(data.get("store_path", "")),
-                store_shards=int(data.get("store_shards", 1)),
-                max_concurrent_jobs=int(data.get("max_concurrent_jobs", 1)),
-                backend=str(data.get("backend", "threads")),
-                eval_workers=int(data.get("eval_workers", 4)),
-                long_poll_timeout=float(data.get("long_poll_timeout", 30.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed service configuration: {exc!r}") from exc
-
-    def save(self, path: str | Path) -> None:
-        """Write the configuration to a JSON file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ServiceConfig":
-        """Read a configuration from a JSON file."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"service configuration file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"service configuration {path} is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-
-def _reject_unknown_keys(data: Mapping, allowed: set[str], section: str) -> None:
-    """Raise when ``data`` contains keys outside ``allowed``."""
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {section} key(s): {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-
-
-def parse_override_value(text: str):
-    """Parse a ``--set`` value: JSON when possible, bare string otherwise."""
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, TypeError):
-        return text
-
-
-def parse_override(assignment: str) -> tuple[str, object]:
-    """Split one ``key=value`` assignment into a dotted key and parsed value."""
-    key, separator, raw = str(assignment).partition("=")
-    key = key.strip()
-    if not separator or not key:
-        raise ConfigurationError(
-            f"override {assignment!r} is not of the form key=value (e.g. nna.max_layers=6)"
-        )
-    return key, parse_override_value(raw)
-
 
 @dataclass(frozen=True)
-class ECADConfig:
+class ECADConfig(JSONConfig):
     """The full ECAD configuration file.
 
     ``backend`` ("serial", "threads" or "processes") selects how candidate
@@ -557,6 +654,11 @@ class ECADConfig:
     (:class:`StoreConfig`): when its ``path`` is set, evaluations are served
     from / written to an SQLite file shared across runs, and ``warm_start``
     seeds the initial population from the best stored candidates.
+
+    JSON files, ``--set`` overrides and service payloads all decode through
+    the strict :class:`JSONConfig` codec: each section is a nested object,
+    unknown keys are rejected and every value must have its field's type
+    (``true``/``false`` for flags, integers for counts, lists for menus).
     """
 
     dataset_name: str
@@ -691,164 +793,3 @@ class ECADConfig:
         if names & hardware_objectives:
             return MutationConfig()
         return MutationConfig.accuracy_only()
-
-    # ---------------------------------------------------------------- JSON
-    def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        data = asdict(self)
-        data["nna"]["layer_sizes"] = list(self.nna.layer_sizes)
-        data["nna"]["activations"] = list(self.nna.activations)
-        data["hardware"]["fpga_batch_sizes"] = list(self.hardware.fpga_batch_sizes)
-        data["hardware"]["gpu_batch_sizes"] = list(self.hardware.gpu_batch_sizes)
-        data["optimization"]["objectives"] = [list(obj) for obj in self.optimization.objectives]
-        data["optimization"]["constraints"] = list(self.optimization.constraints)
-        data["surrogate"]["rung_epochs"] = list(self.surrogate.rung_epochs)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ECADConfig":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are rejected (at the top level and inside each section)
-        so that typos in hand-edited configuration files fail loudly instead
-        of silently falling back to defaults.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"malformed configuration: expected an object, got {type(data).__name__}"
-            )
-        try:
-            nna_data = dict(data["nna"])
-            hardware_data = dict(data.get("hardware", {}))
-            optimization_data = dict(data.get("optimization", {}))
-            store_data = dict(data.get("store", {}))
-            surrogate_data = dict(data.get("surrogate", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed configuration: {exc}") from exc
-        _reject_unknown_keys(data, _TOP_LEVEL_KEYS, section="configuration")
-        _reject_unknown_keys(nna_data, _NNA_KEYS, section="nna")
-        _reject_unknown_keys(hardware_data, _HARDWARE_KEYS, section="hardware")
-        _reject_unknown_keys(optimization_data, _OPTIMIZATION_KEYS, section="optimization")
-        try:
-            nna = NNAStructureConfig(
-                input_size=int(nna_data["input_size"]),
-                output_size=int(nna_data["output_size"]),
-                min_layers=int(nna_data.get("min_layers", 1)),
-                max_layers=int(nna_data.get("max_layers", 4)),
-                layer_sizes=tuple(int(v) for v in nna_data.get("layer_sizes", (16, 32, 64, 128, 256, 512, 1024))),
-                activations=tuple(nna_data.get("activations", ("relu", "tanh", "sigmoid", "elu"))),
-                allow_bias_toggle=bool(nna_data.get("allow_bias_toggle", True)),
-            )
-            hardware = HardwareTargetConfig(
-                fpga=str(hardware_data.get("fpga", "arria10")),
-                ddr_banks=int(hardware_data.get("ddr_banks", 0)),
-                clock_mhz=float(hardware_data.get("clock_mhz", 0.0)),
-                gpu=str(hardware_data.get("gpu", "titan_x")),
-                fpga_batch_sizes=tuple(int(v) for v in hardware_data.get("fpga_batch_sizes", (256, 512, 1024, 2048, 4096, 8192))),
-                gpu_batch_sizes=tuple(int(v) for v in hardware_data.get("gpu_batch_sizes", (64, 128, 256, 512, 1024))),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed configuration: {exc!r}") from exc
-        objectives_data = optimization_data.get("objectives", [["accuracy", 1.0, True], ["fpga_throughput", 1.0, True]])
-        try:
-            objectives = tuple((str(n), float(w), bool(m)) for n, w, m in objectives_data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed optimization objectives {objectives_data!r}: "
-                "expected [name, weight, maximize] triples"
-            ) from exc
-        constraints_data = optimization_data.get("constraints", [])
-        if isinstance(constraints_data, str):
-            constraints_data = [constraints_data]
-        optimization = OptimizationTargetConfig(
-            objectives=objectives,
-            constraints=tuple(str(c) for c in constraints_data),
-        )
-        if "dataset_name" not in data:
-            raise ConfigurationError("malformed configuration: missing 'dataset_name'")
-        return cls(
-            dataset_name=str(data["dataset_name"]),
-            nna=nna,
-            hardware=hardware,
-            optimization=optimization,
-            population_size=int(data.get("population_size", 24)),
-            max_evaluations=int(data.get("max_evaluations", 200)),
-            seed=data.get("seed", 0),
-            evaluation_protocol=str(data.get("evaluation_protocol", "1-fold")),
-            num_folds=int(data.get("num_folds", 10)),
-            training_epochs=int(data.get("training_epochs", 20)),
-            training_batch_size=int(data.get("training_batch_size", 32)),
-            dataset_csv=str(data.get("dataset_csv", "")),
-            dataset_test_csv=str(data.get("dataset_test_csv", "")),
-            backend=str(data.get("backend", "serial")),
-            eval_parallelism=int(data.get("eval_parallelism", 1)),
-            eval_batch_size=int(data.get("eval_batch_size", 1)),
-            strategy=str(data.get("strategy", "evolutionary")),
-            nsga2_tournament_size=int(data.get("nsga2_tournament_size", 2)),
-            store=StoreConfig.from_dict(store_data),
-            surrogate=SurrogateConfig.from_dict(surrogate_data),
-        )
-
-    def with_overrides(
-        self, assignments: Mapping[str, object] | Iterable[str]
-    ) -> "ECADConfig":
-        """Apply dotted-key overrides and return the re-validated configuration.
-
-        ``assignments`` is either a mapping of dotted keys to values
-        (``{"nna.max_layers": 6}``) or an iterable of CLI-style
-        ``"key=value"`` strings (values parsed as JSON when possible).  This
-        is the machinery behind the ``--set`` flag and the experiment specs'
-        ``overrides`` section; unknown keys are rejected.
-        """
-        if isinstance(assignments, Mapping):
-            pairs = [(str(key), value) for key, value in assignments.items()]
-        else:
-            pairs = [parse_override(assignment) for assignment in assignments]
-        data = self.to_dict()
-        for dotted_key, value in pairs:
-            parts = [part for part in dotted_key.split(".") if part]
-            if not parts:
-                raise ConfigurationError(f"empty override key in {dotted_key!r}")
-            node = data
-            for part in parts[:-1]:
-                if not isinstance(node.get(part), dict):
-                    raise ConfigurationError(
-                        f"unknown configuration key {dotted_key!r} (no section {part!r})"
-                    )
-                node = node[part]
-            if parts[-1] not in node:
-                raise ConfigurationError(
-                    f"unknown configuration key {dotted_key!r}; "
-                    f"known keys here: {', '.join(sorted(node))}"
-                )
-            node[parts[-1]] = value
-        return ECADConfig.from_dict(data)
-
-    def save(self, path: str | Path) -> None:
-        """Write the configuration to a JSON file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ECADConfig":
-        """Read a configuration from a JSON file."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"configuration file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"configuration file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-
-#: Allowed key sets for strict :meth:`ECADConfig.from_dict` parsing, derived
-#: from the dataclass fields so they never drift from the schema.
-_TOP_LEVEL_KEYS = {f.name for f in fields(ECADConfig)}
-_NNA_KEYS = {f.name for f in fields(NNAStructureConfig)}
-_HARDWARE_KEYS = {f.name for f in fields(HardwareTargetConfig)}
-_OPTIMIZATION_KEYS = {f.name for f in fields(OptimizationTargetConfig)}
-_STORE_KEYS = {f.name for f in fields(StoreConfig)}
-_SURROGATE_KEYS = {f.name for f in fields(SurrogateConfig)}
-_SERVICE_KEYS = {f.name for f in fields(ServiceConfig)}

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
-from ..core.config import OptimizationTargetConfig
+from ..core.config import JSONConfig, OptimizationTargetConfig
 from ..core.errors import ConfigurationError
 from ..core.fitness import objective_default_maximize
 from ..registry import normalize_key
@@ -110,7 +109,7 @@ class RunCell:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(JSONConfig):
     """A declarative grid of co-design searches.
 
     Attributes
@@ -156,6 +155,8 @@ class ExperimentSpec:
     output_dir:
         Default artifact directory; empty derives ``experiments/<name>``.
     """
+
+    section = "experiment spec"
 
     name: str
     datasets: tuple[str, ...]
@@ -267,69 +268,3 @@ class ExperimentSpec:
             data.pop("warm_start", None)
         payload = json.dumps(data, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    # ----------------------------------------------------------------- JSON
-    def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        data = asdict(self)
-        data["datasets"] = list(self.datasets)
-        data["objectives"] = list(self.objectives)
-        data["seeds"] = list(self.seeds)
-        data["constraints"] = list(self.constraints)
-        data["overrides"] = dict(self.overrides)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"malformed experiment spec: expected an object, got {type(data).__name__}"
-            )
-        allowed = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown experiment spec key(s): {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(sorted(allowed))}"
-            )
-        try:
-            return cls(
-                name=str(data["name"]),
-                datasets=tuple(str(d) for d in data["datasets"]),
-                objectives=tuple(str(o) for o in data.get("objectives", ("codesign",))),
-                seeds=tuple(int(s) for s in data.get("seeds", (0,))),
-                scale=float(data.get("scale", 0.1)),
-                data_seed=int(data.get("data_seed", 0)),
-                fpga=str(data.get("fpga", "arria10")),
-                gpu=str(data.get("gpu", "titan_x")),
-                backend=str(data.get("backend", "serial")),
-                eval_parallelism=int(data.get("eval_parallelism", 1)),
-                run_parallelism=int(data.get("run_parallelism", 1)),
-                strategy=str(data.get("strategy", "evolutionary")),
-                constraints=tuple(str(c) for c in data.get("constraints", ())),
-                store_path=str(data.get("store_path", "")),
-                warm_start=int(data.get("warm_start", 0)),
-                overrides=dict(data.get("overrides", {})),
-                output_dir=str(data.get("output_dir", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed experiment spec: {exc}") from exc
-
-    def save(self, path: str | Path) -> None:
-        """Write the spec to a JSON file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExperimentSpec":
-        """Read a spec from a JSON file."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"experiment spec file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"experiment spec {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)

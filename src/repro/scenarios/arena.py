@@ -19,10 +19,10 @@ upserts them into the durable :class:`~repro.scenarios.leaderboard.Leaderboard`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
+from ..core.config import JSONConfig
 from ..core.errors import ConfigurationError
 from ..core.pareto import hypervolume_2d
 from ..core.strategy import STRATEGIES, arena_strategies
@@ -36,7 +36,7 @@ __all__ = ["ArenaConfig", "ArenaRunner", "artifact_metrics"]
 
 
 @dataclass(frozen=True)
-class ArenaConfig:
+class ArenaConfig(JSONConfig):
     """Everything one tournament needs, in declarative form.
 
     Attributes
@@ -65,7 +65,13 @@ class ArenaConfig:
     leaderboard_path:
         Standings SQLite file; empty derives
         ``<output_dir>/leaderboard.sqlite``.
+
+    ``with_overrides`` accepts ``--set`` keys with or without the ``arena.``
+    prefix (``--set arena.seeds=[0,1]`` or ``--set warm_start=4``).
     """
+
+    section = "arena config"
+    override_prefix = "arena."
 
     scenarios: tuple[str, ...] = ()
     strategies: tuple[str, ...] = ()
@@ -123,74 +129,6 @@ class ArenaConfig:
     def resolved_leaderboard_path(self) -> str:
         """The standings file (defaults inside the output directory)."""
         return self.leaderboard_path or str(Path(self.output_dir) / "leaderboard.sqlite")
-
-    # ----------------------------------------------------------------- JSON
-    def to_dict(self) -> dict:
-        return {
-            "scenarios": list(self.scenarios),
-            "strategies": list(self.strategies),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "store_path": self.store_path,
-            "warm_start": self.warm_start,
-            "backend": self.backend,
-            "eval_parallelism": self.eval_parallelism,
-            "run_parallelism": self.run_parallelism,
-            "leaderboard_path": self.leaderboard_path,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ArenaConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"malformed arena config: expected an object, got {type(data).__name__}"
-            )
-        allowed = {config_field.name for config_field in fields(cls)}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown arena config key(s): {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(sorted(allowed))}"
-            )
-        try:
-            return cls(
-                scenarios=tuple(str(s) for s in data.get("scenarios", ())),
-                strategies=tuple(str(s) for s in data.get("strategies", ())),
-                seeds=tuple(int(s) for s in data.get("seeds", (0,))),
-                output_dir=str(data.get("output_dir", "arena")),
-                store_path=str(data.get("store_path", "")),
-                warm_start=int(data.get("warm_start", 0)),
-                backend=str(data.get("backend", "serial")),
-                eval_parallelism=int(data.get("eval_parallelism", 1)),
-                run_parallelism=int(data.get("run_parallelism", 1)),
-                leaderboard_path=str(data.get("leaderboard_path", "")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed arena config: {exc}") from exc
-
-    def with_overrides(self, assignments) -> "ArenaConfig":
-        """Apply ``--set`` style overrides (``arena.`` prefix optional).
-
-        ``assignments`` is a mapping of keys to values or an iterable of
-        ``"key=value"`` strings (values parsed as JSON when possible), e.g.
-        ``--set arena.seeds=[0,1]`` or ``--set warm_start=4``.
-        """
-        from ..core.config import parse_override
-
-        if isinstance(assignments, Mapping):
-            pairs = [(str(key), value) for key, value in assignments.items()]
-        else:
-            pairs = [parse_override(assignment) for assignment in assignments]
-        data = self.to_dict()
-        for key, value in pairs:
-            key = key.removeprefix("arena.")
-            if key not in data:
-                raise ConfigurationError(
-                    f"unknown arena config key {key!r}; allowed: {', '.join(sorted(data))}"
-                )
-            data[key] = value
-        return ArenaConfig.from_dict(data)
 
 
 def artifact_metrics(artifact, pack: ScenarioPack) -> dict:

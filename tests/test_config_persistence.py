@@ -1,20 +1,30 @@
-"""ECADConfig persistence: JSON round-trips, strict parsing, CLI precedence."""
+"""Configuration persistence: JSON round-trips, strict parsing, CLI precedence."""
 
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, resolve_run_config
 from repro.core.config import (
     ECADConfig,
+    HardwareTargetConfig,
+    NNAStructureConfig,
     OptimizationTargetConfig,
+    ServiceConfig,
+    StoreConfig,
+    SurrogateConfig,
     parse_override,
     parse_override_value,
 )
 from repro.core.errors import ConfigurationError
 from repro.datasets.registry import load_dataset
+from repro.experiment.spec import ExperimentSpec
+from repro.scenarios.arena import ArenaConfig
+from repro.store.digest import problem_digest
 
 
 @pytest.fixture
@@ -103,6 +113,117 @@ class TestStrictParsing:
         data["backend"] = "mpi"
         with pytest.raises(ConfigurationError, match="unknown backend"):
             ECADConfig.from_dict(data)
+
+
+#: ``--set`` texts whose parsed values have the wrong type for their field.
+MALFORMED_OVERRIDES = [
+    ("store.enabled", "False"),
+    ("store.readonly", '"no"'),
+    ("training_epochs", "2.9"),
+    ("eval_parallelism", "true"),
+    ("seed", '"abc"'),
+    ("nna.activations", '"relu"'),
+    ("optimization.objectives", '[["accuracy", 1.0, "false"]]'),
+    ("optimization.constraints", '"dsp_usage<=512"'),
+]
+
+
+class TestMalformedValues:
+    """Values of the wrong type are rejected, never coerced."""
+
+    @pytest.mark.parametrize("key, text", MALFORMED_OVERRIDES)
+    def test_from_dict_rejects(self, config, key, text):
+        data = config.to_dict()
+        *sections, leaf = key.split(".")
+        node = data
+        for section in sections:
+            node = node[section]
+        node[leaf] = parse_override_value(text)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ECADConfig.from_dict(data)
+
+    @pytest.mark.parametrize("key, text", MALFORMED_OVERRIDES)
+    def test_with_overrides_rejects(self, config, key, text):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            config.with_overrides([f"{key}={text}"])
+
+    @pytest.mark.parametrize(
+        "cls, data, key",
+        [
+            (ExperimentSpec, {"name": "x", "datasets": "phishing"}, "datasets"),
+            (ArenaConfig, {"seeds": "0"}, "seeds"),
+            (ServiceConfig, {"port": "8282"}, "port"),
+        ],
+    )
+    def test_other_configs_reject(self, cls, data, key):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            cls.from_dict(data)
+
+
+class TestDigestPins:
+    """Decoding must not move the digests that key stores and sweep resumes."""
+
+    @pytest.fixture
+    def dataset(self):
+        return load_dataset("credit-g", seed=0, scale=0.05)
+
+    def test_problem_digests(self, dataset):
+        codesign = ECADConfig.template_for_dataset(dataset, seed=3)
+        accuracy = ECADConfig.template_for_dataset(
+            dataset, seed=3, optimization=OptimizationTargetConfig.accuracy_only()
+        )
+        assert problem_digest(codesign, dataset) == (
+            "e7bb1cdd0a67321044df7231aeed844988d52ec741e17bd8246810f66e73d6e9"
+        )
+        accuracy_digest = "97f14749ca38549cc652a8d2fce10cc5b8734e485f1f8b68c843a69319f8efaf"
+        assert problem_digest(accuracy, dataset) == accuracy_digest
+        # An int weight decodes as a float, so it hashes like 1.0.
+        overridden = codesign.with_overrides(
+            {"optimization.objectives": [["accuracy", 1, True]]}
+        )
+        assert problem_digest(overridden, dataset) == accuracy_digest
+
+    def test_cell_digest(self):
+        spec = ExperimentSpec(name="x", datasets=("credit-g",), overrides={"a": 1})
+        assert spec.cell_digest() == "b6819499bf2f5809"
+        assert ExperimentSpec.from_dict(spec.to_dict()).cell_digest() == "b6819499bf2f5809"
+
+
+def _all_config_classes(config: ECADConfig) -> list:
+    """One non-default instance of every configuration class."""
+    return [
+        NNAStructureConfig(input_size=20, output_size=2, layer_sizes=(16, 32), activations=("relu",)),
+        HardwareTargetConfig(fpga="stratix10", clock_mhz=250.0, fpga_batch_sizes=(512,)),
+        OptimizationTargetConfig(
+            objectives=(("accuracy", 1.0, True), ("fpga_latency", 0.5, False)),
+            constraints=("dsp_usage<=512",),
+        ),
+        StoreConfig(path="s.sqlite", enabled=False, readonly=True, warm_start=4, shards=2),
+        SurrogateConfig(base="nsga2", rung_epochs=(1, 2), exploration_fraction=0.3),
+        ServiceConfig(port=0, store_shards=4, long_poll_timeout=5.0),
+        replace(config, seed=None, store=StoreConfig(path="s.sqlite", warm_start=2)),
+        ExperimentSpec(
+            name="x",
+            datasets=("credit-g", "phishing"),
+            seeds=(0, 1),
+            constraints=("dsp_usage<=512",),
+            overrides={"nna.max_layers": 3},
+        ),
+        ArenaConfig(scenarios=("noisy-labels",), strategies=("nsga2",), seeds=(0, 2)),
+    ]
+
+
+class TestEveryConfigRoundTrips:
+    def test_json_round_trip(self, config):
+        for original in _all_config_classes(config):
+            data = json.loads(json.dumps(original.to_dict()))
+            assert type(original).from_dict(data) == original
+
+    def test_save_load(self, config, tmp_path):
+        for index, original in enumerate(_all_config_classes(config)):
+            path = tmp_path / f"{index}.json"
+            original.save(path)
+            assert type(original).load(path) == original
 
 
 class TestOverrides:
