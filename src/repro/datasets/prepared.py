@@ -34,7 +34,7 @@ from .base import Dataset
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..nn.preprocessing import StandardScaler
 
-__all__ = ["PreparedDataset", "prepare_dataset", "clear_prepared_cache"]
+__all__ = ["PreparedDataset", "prepare_dataset", "release_prepared", "clear_prepared_cache"]
 
 
 class PreparedDataset:
@@ -165,6 +165,19 @@ def prepare_dataset(dataset: Dataset) -> PreparedDataset:
     # _evict finalizer synchronously, which needs _PREPARED_LOCK itself.
     del displaced
     return prepared
+
+
+def release_prepared(dataset: Dataset) -> None:
+    """Drop ``dataset``'s :class:`PreparedDataset`, if this process has one.
+
+    An entry holds its dataset, so the eviction finalizer cannot fire while
+    the entry exists: a caller that retires a dataset releases it here.
+    """
+    key = id(dataset)
+    with _PREPARED_LOCK:
+        entry = _PREPARED.get(key)
+        if entry is not None and entry.dataset is dataset:
+            del _PREPARED[key]
 
 
 def clear_prepared_cache() -> None:

@@ -14,7 +14,10 @@ request per worker*.  This module replaces that with the classic
   segments zero-copy into a regular :class:`~repro.datasets.base.Dataset` and
   memoizes it per process, so every later request for the same handle is a
   dictionary lookup.  The attached dataset then feeds the per-process
-  preprocessing memo in :mod:`repro.datasets.prepared`.
+  preprocessing memo in :mod:`repro.datasets.prepared`.  Attaching a new
+  handle first drops the memo entries whose creator has closed its export,
+  so a long-lived pool process (the job service's, the arena's) does not
+  keep every finished run's dataset mapped.
 
 Lifecycle rules (pinned by ``tests/test_shared_datasets.py``):
 
@@ -187,18 +190,60 @@ _ATTACHED: dict[str, Dataset] = {}
 _ATTACHED_LOCK = threading.Lock()
 
 
+def _export_closed(token: str) -> bool:
+    """Whether the creator has closed the export ``token`` names.
+
+    Closing unlinks the segments, so the export's first segment, whose name
+    is the token, can no longer be opened.
+    """
+    try:
+        probe = _attach_segment(token)
+    except FileNotFoundError:
+        return True
+    probe.close()
+    return False
+
+
+def _release(datasets: list[Dataset]) -> None:
+    """Forget retired attachments and close their local mappings.
+
+    Empties ``datasets`` as it goes.  Each dataset's preprocessing memo
+    entry is dropped first.  Closing a mapping unmaps the arrays over it,
+    so a dataset something else still holds keeps its mappings; they close
+    when it is collected.
+    """
+    from .prepared import release_prepared
+
+    while datasets:
+        dataset = datasets.pop()
+        segments = dataset.metadata.get("shared_memory_segments", [])
+        release_prepared(dataset)
+        alive = weakref.ref(dataset)
+        del dataset
+        if alive() is not None:
+            continue
+        for segment in segments:
+            try:
+                segment.close()
+            except OSError:
+                pass
+
+
 def attach_shared_dataset(handle: SharedDatasetHandle) -> Dataset:
     """Materialize ``handle`` as a :class:`Dataset`, memoized per process.
 
     The feature matrix is a zero-copy view over the shared segment (the
     attached ``SharedMemory`` objects are pinned in ``dataset.metadata`` to
     keep the mapping alive); label arrays are tiny and get copied by the
-    ``Dataset`` constructor's dtype coercion.
+    ``Dataset`` constructor's dtype coercion.  A handle not attached yet
+    first releases the attachments whose creator has closed its export.
     """
     with _ATTACHED_LOCK:
         cached = _ATTACHED.get(handle.token)
         if cached is not None:
             return cached
+        retired = [_ATTACHED.pop(token) for token in list(_ATTACHED) if _export_closed(token)]
+    _release(retired)
 
     segments: list[shared_memory.SharedMemory] = []
 
@@ -224,15 +269,10 @@ def attach_shared_dataset(handle: SharedDatasetHandle) -> Dataset:
 def clear_attached_cache() -> None:
     """Drop consumer-side attachments (test isolation hook).
 
-    Closes the local mappings; the segments themselves stay alive until the
-    creator unlinks them.
+    Closes the local mappings of the datasets nothing else holds; the
+    segments themselves stay alive until the creator unlinks them.
     """
     with _ATTACHED_LOCK:
         datasets = list(_ATTACHED.values())
         _ATTACHED.clear()
-    for dataset in datasets:
-        for segment in dataset.metadata.get("shared_memory_segments", []):
-            try:
-                segment.close()
-            except OSError:
-                pass
+    _release(datasets)

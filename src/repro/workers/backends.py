@@ -39,6 +39,7 @@ __all__ = [
     "ThreadPoolBackend",
     "ProcessPoolBackend",
     "NonOwningBackend",
+    "process_pool_of",
     "register_backend",
     "resolve_backend",
     "available_backends",
@@ -288,6 +289,18 @@ class NonOwningBackend(ExecutionBackend):
 
     def shutdown(self) -> None:
         """Intentionally a no-op: the shared pool's owner shuts it down."""
+
+
+def process_pool_of(backend: ExecutionBackend) -> ProcessPoolBackend | None:
+    """The :class:`ProcessPoolBackend` behind ``backend``, or None.
+
+    That is ``backend`` itself or, through any number of
+    :class:`NonOwningBackend` wrappers (the arena's and the service's shared
+    pools), their ``inner`` backend.
+    """
+    while isinstance(backend, NonOwningBackend):
+        backend = backend.inner
+    return backend if isinstance(backend, ProcessPoolBackend) else None
 
 
 register_backend = BACKENDS.register

@@ -18,10 +18,12 @@ Three entry points are offered:
   are fanned out through the backend and merged on return.  The engine's
   pipeline calls it from several threads at once when ``eval_parallelism``
   is above 1, so the backend must also absorb concurrent ``map`` calls.
-* :meth:`evaluate_batch` — a chunk of candidates as one backend task, so
-  workers that fuse work across candidates (batched training, vectorized
-  hardware sweeps) amortize it.  The engine calls it for chunks of
-  ``eval_batch_size``.
+* :meth:`evaluate_batch` — a chunk of candidates, so workers that fuse work
+  across candidates (batched training, vectorized hardware sweeps) amortize
+  it.  The engine calls it for chunks of ``eval_batch_size``.  On a pool of
+  processes the chunk goes out as up to pool-size tasks, split between
+  same-topology groups and balanced by estimated training cost, so one chunk
+  keeps every pool process busy; every other backend runs it as one task.
 * :meth:`submit` / :meth:`as_completed` — one whole candidate as a backend
   task, returned as a future, for callers that keep several candidates in
   flight themselves (``RandomSearch``).  Inside a task the workers run
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from functools import partial
 from typing import Iterator
 
@@ -41,7 +43,7 @@ from ..core.candidate import CandidateEvaluation
 from ..core.genome import CoDesignGenome
 from ..datasets.base import Dataset
 from ..nn.training import TrainingConfig
-from .backends import ExecutionBackend, ProcessPoolBackend, SerialBackend, resolve_backend
+from .backends import ExecutionBackend, SerialBackend, process_pool_of, resolve_backend
 from .base import EvaluationRequest, Worker, WorkerReport
 
 __all__ = ["Master"]
@@ -146,11 +148,13 @@ class Master:
     def _shared_handle(self):
         """Handle of the shared-memory dataset export, or None.
 
-        Only the processes backend pays a per-request serialization cost for
-        the dataset, so only it gets the shared-memory path; serial and
-        thread backends share the dataset object directly.
+        Only a process pool pays a per-request serialization cost for the
+        dataset, so only it gets the shared-memory path, also when it is
+        reached through a non-owning wrapper (the arena's and the service's
+        shared pools); serial and thread backends share the dataset object
+        directly.
         """
-        if self.dataset is None or not isinstance(self.backend, ProcessPoolBackend):
+        if self.dataset is None or process_pool_of(self.backend) is None:
             return None
         with self._shared_lock:
             if self._shared_dataset is None:
@@ -218,24 +222,72 @@ class Master:
         return self.backend.as_completed(futures)
 
     def evaluate_batch(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
-        """Evaluate a batch of candidates as one backend task, in input order.
+        """Evaluate a batch of candidates, in input order.
 
         The batch runs through :meth:`Worker.evaluate_batch` on each worker,
         so same-topology candidates share fused training and hardware sweeps.
-        Per-candidate ``evaluation_seconds`` is the batch wall clock split
-        evenly across candidates.
+        On a pool of two or more processes the batch is sent as up to
+        pool-size tasks (see :meth:`_batch_parts`), each a whole number of
+        same-topology groups; any other backend, and a single-topology batch,
+        gets one task.  Every task finishes before the call returns; if any
+        failed, the first failed task's error is then raised.  A candidate's
+        ``evaluation_seconds`` is its own task's wall clock split evenly
+        across that task's candidates.
         """
         genomes = list(genomes)
         if not genomes:
             return []
         requests = [self.build_request(genome) for genome in genomes]
-        task = self.backend.submit(_run_workers_serial_batch, (self.workers, requests))
-        reports_per_request, elapsed = task.result()
-        per_candidate = elapsed / len(genomes)
-        return [
-            self._merge(genome, reports, per_candidate)
-            for genome, reports in zip(genomes, reports_per_request)
-        ]
+        parts = self._batch_parts(genomes)
+        futures = []
+        try:
+            for part in parts:
+                task = (self.workers, [requests[position] for position in part])
+                futures.append(self.backend.submit(_run_workers_serial_batch, task))
+        finally:
+            # Wait for every submitted part, even after a failed submit or
+            # part, so no task is still running once this call returns.
+            wait(futures)
+        evaluations: list[CandidateEvaluation | None] = [None] * len(genomes)
+        for part, future in zip(parts, futures):
+            reports_per_request, elapsed = future.result()
+            per_candidate = elapsed / len(part)
+            for position, reports in zip(part, reports_per_request):
+                evaluations[position] = self._merge(genomes[position], reports, per_candidate)
+        return evaluations  # type: ignore[return-value]
+
+    def _batch_parts(self, genomes: list[CoDesignGenome]) -> list[list[int]]:
+        """Split a batch into the input positions of each backend task.
+
+        One part holding the whole batch, unless the backend is a pool of
+        two or more processes and the batch has more than one topology.
+        Then same-topology groups stay whole, so workers still fuse each
+        one, and are dealt to at most pool-size parts: largest estimated
+        cost (group size x parameter count) first, each to the part with
+        the least cost so far.  Each part lists its positions in input
+        order.
+        """
+        whole = [list(range(len(genomes)))]
+        pool = process_pool_of(self.backend)
+        if pool is None or pool.max_workers < 2 or self.dataset is None:
+            return whole
+        groups: dict = {}
+        for position, genome in enumerate(genomes):
+            spec = genome.mlp.to_spec(self.dataset.num_features, self.dataset.num_classes)
+            groups.setdefault(spec, []).append(position)
+        if len(groups) < 2:
+            return whole
+        costed = sorted(
+            ((len(positions) * spec.parameter_count, positions) for spec, positions in groups.items()),
+            key=lambda item: -item[0],
+        )
+        parts: list[list[int]] = [[] for _ in range(min(pool.max_workers, len(groups)))]
+        costs = [0] * len(parts)
+        for cost, positions in costed:
+            lightest = costs.index(min(costs))
+            parts[lightest].extend(positions)
+            costs[lightest] += cost
+        return [sorted(part) for part in parts]
 
     # --------------------------------------------------------------- merging
     def _merge(

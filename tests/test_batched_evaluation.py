@@ -7,9 +7,15 @@ strings).  Accuracy comparisons here are exact ``==``, never ``approx``.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EvolutionaryEngine, RunStatistics
 from repro.core.errors import SearchError
 from repro.core.fitness import FitnessEvaluator, FitnessObjective
@@ -22,6 +28,13 @@ from repro.hardware.systolic import GridConfig
 from repro.nn import batched as nn_batched
 from repro.nn.evaluation import evaluate_kfold
 from repro.nn.training import TrainingConfig
+from repro.service.runtime import SharedBackend
+from repro.workers.backends import (
+    NonOwningBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadPoolBackend,
+)
 from repro.workers.base import EvaluationRequest, Worker, WorkerReport
 from repro.workers.hardware_db import HardwareDatabaseWorker
 from repro.workers.master import Master
@@ -447,6 +460,206 @@ class TestMasterBatch:
         assert request.shared_dataset is None
         assert master._shared_dataset is None
         master.shutdown()
+
+    @pytest.mark.parametrize("wrapper", [NonOwningBackend, SharedBackend])
+    def test_wrapped_process_pool_ships_shared_dataset(
+        self, wrapper, tiny_dataset, fast_training_config, small_grid
+    ):
+        pool = ProcessPoolBackend(max_workers=2)
+        serial = self._master(tiny_dataset, fast_training_config, backend="serial")
+        wrapped = self._master(tiny_dataset, fast_training_config, backend=wrapper(pool))
+        try:
+            genomes = _genomes(small_grid)[:3]
+            request = wrapped.build_request(genomes[0])
+            assert request.dataset is None
+            assert request.shared_dataset is not None
+
+            batched = wrapped.evaluate_batch(genomes)
+            for evaluation, genome in zip(batched, genomes):
+                self._assert_evaluations_identical(evaluation, serial.evaluate(genome))
+        finally:
+            segments = list(wrapped._shared_dataset.segment_names) if wrapped._shared_dataset else []
+            wrapped.shutdown()
+            pool.shutdown()
+            serial.shutdown()
+            clear_attached_cache()
+        assert segments
+        assert wrapped._shared_dataset is None
+        for name in segments:
+            assert not os.path.exists(f"/dev/shm/{name}")
+
+
+class _CountingBackend(NonOwningBackend):
+    """Counts the tasks submitted to the backend it wraps."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.tasks = 0
+
+    def submit(self, function, item):
+        self.tasks += 1
+        return super().submit(function, item)
+
+
+class _SlowOrFailingWorker(Worker):
+    """Raises on a batch holding a (16, 8) network; otherwise sleeps, then
+    leaves a marker file (module level so process pools can pickle it)."""
+
+    name = "slow_or_failing"
+
+    def __init__(self, marker: str) -> None:
+        self.marker = marker
+
+    def evaluate_batch(self, requests):
+        if any(request.genome.mlp.hidden_layers == (16, 8) for request in requests):
+            raise RuntimeError("rejected a (16, 8) network")
+        time.sleep(0.5)
+        Path(self.marker).write_text("finished")
+        return [WorkerReport(worker_name=self.name) for _ in requests]
+
+
+class _SleepyWorker(Worker):
+    """Sleeps 0.3 s per (16, 8) network, not at all for any other."""
+
+    name = "sleepy"
+
+    def evaluate_batch(self, requests):
+        time.sleep(0.3 * sum(request.genome.mlp.hidden_layers == (16, 8) for request in requests))
+        return [WorkerReport(worker_name=self.name) for _ in requests]
+
+
+_TIMING_FIELDS = {"train_seconds", "evaluation_seconds"}
+
+
+def _assert_same_evaluation(left: CandidateEvaluation, right: CandidateEvaluation) -> None:
+    for spec in dataclasses.fields(CandidateEvaluation):
+        if spec.name not in _TIMING_FIELDS:
+            assert getattr(left, spec.name) == getattr(right, spec.name), spec.name
+
+
+class TestMasterBatchFanOut:
+    """A pool of processes gets a batch as up to pool-size tasks, one or more
+    whole topology groups each, with every result unchanged."""
+
+    def _master(self, dataset, training_config, backend, protocol="1-fold", num_folds=10) -> Master:
+        return Master(
+            workers=[
+                SimulationWorker(gpu=TITAN_X),
+                HardwareDatabaseWorker(device=ARRIA10_GX1150),
+                PhysicalWorker(device=ARRIA10_GX1150),
+            ],
+            dataset=dataset,
+            evaluation_protocol=protocol,
+            num_folds=num_folds,
+            training_config=training_config,
+            backend=backend,
+            seed=0,
+        )
+
+    def _run(self, backend, genomes, *master_args, **master_kwargs):
+        """Evaluate ``genomes`` as one batch; return (evaluations, tasks submitted)."""
+        counting = _CountingBackend(backend)
+        master = self._master(*master_args, backend=counting, **master_kwargs)
+        try:
+            return master.evaluate_batch(genomes), counting.tasks
+        finally:
+            master.shutdown()
+            backend.shutdown()
+            clear_attached_cache()
+
+    @pytest.mark.parametrize(
+        "protocol, num_folds", [("1-fold", 10), ("10-fold", 3)], ids=["pre-split", "3-fold"]
+    )
+    def test_two_process_one_process_and_serial_agree(
+        self, protocol, num_folds, tiny_presplit_dataset, fast_training_config, small_grid
+    ):
+        genomes = _genomes(small_grid)
+        args = (tiny_presplit_dataset, fast_training_config)
+        kwargs = {"protocol": protocol, "num_folds": num_folds}
+        two, two_tasks = self._run(ProcessPoolBackend(max_workers=2), genomes, *args, **kwargs)
+        one, one_tasks = self._run(ProcessPoolBackend(max_workers=1), genomes, *args, **kwargs)
+        serial, serial_tasks = self._run(SerialBackend(), genomes, *args, **kwargs)
+        assert (two_tasks, one_tasks, serial_tasks) == (2, 1, 1)
+        assert len(two) == len(one) == len(serial) == len(genomes)
+        for fanned, single, reference in zip(two, one, serial):
+            _assert_same_evaluation(fanned, reference)
+            _assert_same_evaluation(single, reference)
+            assert not reference.error
+
+    def test_input_order_is_kept(self, tiny_presplit_dataset, fast_training_config, small_grid):
+        # The costliest group, dealt first, sits at the end of the batch.
+        genomes = _genomes(small_grid)[2:] + _genomes(small_grid)[:2]
+        args = (tiny_presplit_dataset, fast_training_config)
+        fanned, tasks = self._run(ProcessPoolBackend(max_workers=2), genomes, *args)
+        assert tasks == 2
+        assert [evaluation.genome for evaluation in fanned] == genomes
+        master = self._master(*args, backend=SerialBackend())
+        for genome, evaluation in zip(genomes, fanned):
+            _assert_same_evaluation(evaluation, master.evaluate(genome))
+        master.shutdown()
+
+    @pytest.mark.parametrize(
+        "backend_factory, single_topology",
+        [
+            (lambda: ProcessPoolBackend(max_workers=2), True),
+            (lambda: ProcessPoolBackend(max_workers=1), False),
+            (lambda: ThreadPoolBackend(max_workers=2), False),
+        ],
+        ids=["single-topology", "pool-of-one", "threads"],
+    )
+    def test_one_task_without_two_processes_and_two_topologies(
+        self, backend_factory, single_topology, tiny_presplit_dataset, fast_training_config, small_grid
+    ):
+        genomes = _genomes(small_grid)
+        if single_topology:
+            genomes = [genome for genome in genomes if genome.mlp.hidden_layers == (16, 8)]
+        evaluations, tasks = self._run(
+            backend_factory(), genomes, tiny_presplit_dataset, fast_training_config
+        )
+        assert tasks == 1
+        assert len(evaluations) == len(genomes)
+
+    def test_groups_are_balanced_by_estimated_cost(self, tiny_presplit_dataset, fast_training_config, small_grid):
+        # 10 features, 3 classes: (16, 8) x3 costs 3 x 339, (32,) 451,
+        # (8, 8) 187; the big group takes one process, the rest the other.
+        backend = ProcessPoolBackend(max_workers=3)
+        master = self._master(tiny_presplit_dataset, fast_training_config, backend)
+        assert master._batch_parts(_genomes(small_grid)) == [[0, 1, 4], [2], [3]]
+        backend.max_workers = 2
+        assert master._batch_parts(_genomes(small_grid)) == [[0, 1, 4], [2, 3]]
+        master.shutdown()
+
+    def test_evaluation_seconds_split_each_part_on_its_own(self, tiny_presplit_dataset, small_grid):
+        backend = ProcessPoolBackend(max_workers=2)
+        master = Master(workers=[_SleepyWorker()], dataset=tiny_presplit_dataset, backend=backend)
+        try:
+            seconds = [e.evaluation_seconds for e in master.evaluate_batch(_genomes(small_grid))]
+        finally:
+            master.shutdown()
+            clear_attached_cache()
+        # Part one, three (16, 8) networks, took ~0.9 s; part two ~0 s.
+        assert all(seconds[position] >= 0.3 for position in (0, 1, 4))
+        assert all(seconds[position] < 0.15 for position in (2, 3))
+
+    def test_failed_part_raises_after_the_other_part_finishes(
+        self, tmp_path, tiny_presplit_dataset, small_grid
+    ):
+        marker = tmp_path / "slow-part-finished"
+        backend = ProcessPoolBackend(max_workers=2)
+        master = Master(
+            workers=[_SlowOrFailingWorker(str(marker))],
+            dataset=tiny_presplit_dataset,
+            backend=backend,
+        )
+        try:
+            # Part one, the (16, 8) group, fails at once; part two sleeps.
+            assert master._batch_parts(_genomes(small_grid)) == [[0, 1, 4], [2, 3]]
+            with pytest.raises(RuntimeError, match=r"rejected a \(16, 8\) network"):
+                master.evaluate_batch(_genomes(small_grid))
+            assert marker.read_text() == "finished"
+        finally:
+            master.shutdown()
+            clear_attached_cache()
 
 
 class _BatchRecordingEvaluator:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -25,6 +26,7 @@ from repro.datasets import (
     clear_prepared_cache,
     prepare_dataset,
 )
+from repro.datasets import shared as shared_module
 from repro.datasets.prepared import PreparedDataset
 from repro.nn.evaluation import kfold_indices
 from repro.nn.preprocessing import StandardScaler, one_hot
@@ -53,6 +55,12 @@ def _dataset(seed: int = 0, pre_split: bool = True) -> Dataset:
 
 def _segments_exist(names: list[str]) -> bool:
     return any(os.path.exists(f"/dev/shm/{name}") for name in names)
+
+
+def _segments_mapped(names: list[str]) -> bool:
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        mapped = maps.read()
+    return any(f"/{name}" in mapped for name in names)
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +168,35 @@ class TestSharedDatasetLifecycle:
             assert len(shared.segment_names) == 2
             attached = attach_shared_dataset(shared.handle)
             assert not attached.has_test_split
+            clear_attached_cache()
+
+    def test_attaching_releases_exports_their_creator_closed(self):
+        first = SharedDataset(_dataset(seed=8))
+        names = first.segment_names
+        attached = attach_shared_dataset(first.handle)
+        segments = attached.metadata["shared_memory_segments"]
+        prepared = weakref.ref(prepare_dataset(attached))
+        dataset = weakref.ref(attached)
+        del attached
+        assert _segments_mapped(names)
+        first.close()
+        with SharedDataset(_dataset(seed=9)) as second:
+            attach_shared_dataset(second.handle)
+            assert list(shared_module._ATTACHED) == [second.handle.token]
+            assert dataset() is None
+            assert prepared() is None
+            assert all(segment.buf is None for segment in segments)
+            assert not _segments_mapped(names)
+            clear_attached_cache()
+
+    def test_attaching_keeps_exports_still_open(self):
+        with SharedDataset(_dataset(seed=10)) as first, SharedDataset(_dataset(seed=11)) as second:
+            attached = attach_shared_dataset(first.handle)
+            prepared = prepare_dataset(attached)
+            attach_shared_dataset(second.handle)
+            assert list(shared_module._ATTACHED) == [first.handle.token, second.handle.token]
+            assert attach_shared_dataset(first.handle) is attached
+            assert prepare_dataset(attached) is prepared
             clear_attached_cache()
 
 

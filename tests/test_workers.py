@@ -19,11 +19,13 @@ from repro.nn.evaluation import evaluate_single_fold
 from repro.nn.training import TrainingConfig
 from repro.workers import backends
 from repro.workers.backends import (
+    NonOwningBackend,
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     cap_blas_threads,
     pool_blas_threads,
+    process_pool_of,
     resolve_backend,
     usable_cpus,
 )
@@ -236,6 +238,18 @@ class TestBackends:
     def test_resolver_forwards_max_workers(self):
         assert resolve_backend("threads", max_workers=7).max_workers == 7
         assert resolve_backend("processes", max_workers=2).max_workers == 2
+
+    def test_process_pool_of_sees_through_non_owning_wrappers(self):
+        from repro.service.runtime import SharedBackend
+
+        pool = ProcessPoolBackend(max_workers=2)
+        assert process_pool_of(pool) is pool
+        assert process_pool_of(NonOwningBackend(pool)) is pool
+        assert process_pool_of(SharedBackend(NonOwningBackend(pool))) is pool
+        threads = ThreadPoolBackend(max_workers=2)
+        assert process_pool_of(threads) is None
+        assert process_pool_of(NonOwningBackend(threads)) is None
+        assert process_pool_of(SerialBackend()) is None
 
 
 _OPENBLAS_GETTERS = (
