@@ -37,7 +37,7 @@ from .mutation import CoDesignMutator, MutationConfig
 from .population import Individual, Population
 from .selection import SelectionScheme, get_selection
 
-__all__ = ["EngineConfig", "RunStatistics", "EngineResult", "EvolutionaryEngine"]
+__all__ = ["EngineConfig", "RunStatistics", "EngineResult", "ChunkEvaluator", "EvolutionaryEngine"]
 
 #: Evaluator signature: maps a genome to its full evaluation record.
 Evaluator = Callable[[CoDesignGenome], CandidateEvaluation]
@@ -275,6 +275,147 @@ class EngineResult:
         self.best = self.population.best
 
 
+class ChunkEvaluator:
+    """The evaluation pipeline every search dispatches its genomes through.
+
+    Evaluates chunks of up to ``batch_size`` genomes with ``evaluator``,
+    resolved through ``cache``, and adds fresh evaluations, cache hits and
+    evaluation time to ``statistics`` under a lock, so up to ``parallelism``
+    chunks may run at once on other threads.
+    """
+
+    def __init__(
+        self,
+        evaluator: Evaluator,
+        cache: EvaluationCache,
+        statistics: RunStatistics,
+        batch_size: int,
+        parallelism: int,
+    ) -> None:
+        self.evaluator = evaluator
+        self.cache = cache
+        self.statistics = statistics
+        self.batch_size = batch_size
+        self.parallelism = parallelism
+        self._stats_lock = threading.Lock()
+
+    def executor(self) -> ThreadPoolExecutor | None:
+        """A pool of ``parallelism`` threads, or None: a window of one runs inline."""
+        if self.parallelism == 1:
+            return None
+        return ThreadPoolExecutor(max_workers=self.parallelism, thread_name_prefix="ecad-eval")
+
+    def evaluate_all(
+        self, genomes: list[CoDesignGenome], executor: ThreadPoolExecutor | None
+    ) -> list[CandidateEvaluation]:
+        """Evaluate a fixed list of genomes through the window, behind a barrier.
+
+        The chunks run inline, or on the executor's ``parallelism`` threads;
+        the evaluations come back in input order.
+        """
+        size = self.batch_size
+        chunks = [genomes[index : index + size] for index in range(0, len(genomes), size)]
+        self.statistics.peak_in_flight = max(
+            self.statistics.peak_in_flight,
+            min(len(genomes), self.parallelism * size),
+        )
+        evaluate = map if executor is None else executor.map
+        return [evaluation for batch in evaluate(self.evaluate_chunk, chunks) for evaluation in batch]
+
+    def evaluate_chunk(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
+        """Evaluate one dispatched chunk of genomes, in input order.
+
+        Each distinct genome goes through the cache's single-flight
+        ``lookup_or_reserve``: hits, including genomes another chunk has in
+        flight, count as cache hits.  A genome repeated within the chunk takes
+        a cache copy of its first occurrence and counts as a cache hit too; it
+        must not reserve again, or it would wait on its own ticket.
+        Reservations are taken in cache-key order, so two chunks holding the
+        same genomes can never wait on each other.
+
+        The fresh genomes go to the evaluator's ``evaluate_batch`` when it has
+        one and there is more than one of them, otherwise one call each.  An
+        evaluator exception fails every fresh genome of the chunk.  Each fresh
+        result is published under its own key with the chunk's wall clock
+        split evenly, so cache and store see what per-candidate dispatch
+        would have produced.
+        """
+        keys = [genome.cache_key() for genome in genomes]
+        results: list[CandidateEvaluation | None] = [None] * len(genomes)
+        first: dict[str, int] = {}
+        repeats: list[tuple[int, int]] = []
+        fresh: list[int] = []
+        elapsed = 0.0
+        try:
+            for index in sorted(range(len(genomes)), key=keys.__getitem__):
+                key = keys[index]
+                if key in first:
+                    repeats.append((index, first[key]))
+                    continue
+                first[key] = index
+                cached, owner = self.cache.lookup_or_reserve(genomes[index])
+                if owner:
+                    fresh.append(index)
+                else:
+                    results[index] = cached
+            fresh.sort()
+            fresh_genomes = [genomes[index] for index in fresh]
+            if fresh_genomes:
+                start = time.perf_counter()
+                try:
+                    batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
+                    if batch_evaluate is not None and len(fresh_genomes) > 1:
+                        evaluations = list(batch_evaluate(fresh_genomes))
+                    else:
+                        evaluations = [self.evaluator(genome) for genome in fresh_genomes]
+                    if len(evaluations) != len(fresh_genomes):
+                        raise SearchError(
+                            "batch evaluator returned "
+                            f"{len(evaluations)} evaluations for {len(fresh_genomes)} genomes"
+                        )
+                except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
+                    evaluations = [
+                        CandidateEvaluation(genome=genome, error=str(exc))
+                        for genome in fresh_genomes
+                    ]
+                elapsed = time.perf_counter() - start
+                for index, evaluation in zip(fresh, evaluations):
+                    evaluation = self._stamp_elapsed(evaluation, elapsed / len(fresh))
+                    self.cache.complete(genomes[index], evaluation)
+                    results[index] = evaluation
+        except BaseException:
+            # Release every reservation this chunk still holds; waiters retry.
+            for index in fresh:
+                if results[index] is None:
+                    self.cache.abandon(genomes[index])
+            raise
+        for index, source in repeats:
+            results[index] = results[source].as_cache_copy()
+        with self._stats_lock:
+            self.statistics.models_evaluated += len(fresh)
+            self.statistics.cache_hits += len(genomes) - len(fresh)
+            self.statistics.total_evaluation_seconds += elapsed
+        return results  # type: ignore[return-value]
+
+    @staticmethod
+    def _stamp_elapsed(evaluation: CandidateEvaluation, elapsed: float) -> CandidateEvaluation:
+        """Fill in the measured wall-clock time when the evaluator left it at 0."""
+        if evaluation.evaluation_seconds != 0.0 or evaluation.failed:
+            return evaluation
+        return CandidateEvaluation(
+            genome=evaluation.genome,
+            accuracy=evaluation.accuracy,
+            accuracy_std=evaluation.accuracy_std,
+            parameter_count=evaluation.parameter_count,
+            fpga_metrics=evaluation.fpga_metrics,
+            gpu_metrics=evaluation.gpu_metrics,
+            synthesis=evaluation.synthesis,
+            train_seconds=evaluation.train_seconds,
+            evaluation_seconds=elapsed,
+            extras=evaluation.extras,
+        )
+
+
 class EvolutionaryEngine:
     """Steady-state evolutionary search over a co-design space.
 
@@ -356,7 +497,13 @@ class EvolutionaryEngine:
         self.callbacks = CallbackList([self.history, self.frontier, *(callbacks or [])])
         self._rng = np.random.default_rng(self.config.seed)
         self.statistics = RunStatistics()
-        self._stats_lock = threading.Lock()
+        self.chunks = ChunkEvaluator(
+            evaluator,
+            self.cache,
+            self.statistics,
+            batch_size=self.config.eval_batch_size,
+            parallelism=self.config.eval_parallelism,
+        )
         self.initial_genomes = list(initial_genomes or [])
 
     # ------------------------------------------------------------------ run
@@ -376,11 +523,7 @@ class EvolutionaryEngine:
         config = self.config
         statistics = self.statistics
         start_time = time.perf_counter()
-        executor = None
-        if config.eval_parallelism > 1:
-            executor = ThreadPoolExecutor(
-                max_workers=config.eval_parallelism, thread_name_prefix="ecad-eval"
-            )
+        executor = self.chunks.executor()
         try:
             population = self._initialize_population(executor)
             self.callbacks.on_search_start(population)
@@ -427,9 +570,7 @@ class EvolutionaryEngine:
                     statistics.models_generated += count
                     offspring = [
                         self._wrap_landed(genome, evaluation, step, population)
-                        for genome, evaluation in zip(
-                            genomes, self._evaluate_all(genomes, executor)
-                        )
+                        for genome, evaluation in zip(genomes, self.chunks.evaluate_all(genomes, executor))
                     ]
                     # Elitism: keep the best parent.
                     population.members = [population.best, *offspring][: config.population_size]
@@ -456,9 +597,9 @@ class EvolutionaryEngine:
                         len(chunk) + sum(map(len, in_flight.values())),
                     )
                     if executor is None:
-                        land(chunk, self._evaluate_chunk(chunk))
+                        land(chunk, self.chunks.evaluate_chunk(chunk))
                     else:
-                        in_flight[executor.submit(self._evaluate_chunk, chunk)] = chunk
+                        in_flight[executor.submit(self.chunks.evaluate_chunk, chunk)] = chunk
                 if in_flight:
                     wait(in_flight, return_when=FIRST_COMPLETED)
                     for future in [future for future in in_flight if future.done()]:
@@ -562,7 +703,7 @@ class EvolutionaryEngine:
             genomes.append(genome)
         self.statistics.models_generated += len(genomes)
         population = Population(capacity=self.config.population_size)
-        for genome, evaluation in zip(genomes, self._evaluate_all(genomes, executor)):
+        for genome, evaluation in zip(genomes, self.chunks.evaluate_all(genomes, executor)):
             population.add(self._wrap_landed(genome, evaluation, len(population), population))
             self._rescore(population)
         return population
@@ -593,117 +734,6 @@ class EvolutionaryEngine:
             return genome
         # Give up on uniqueness and explore randomly instead.
         return self.space.random_genome(self._rng, device=self.device)
-
-    # ----------------------------------------------------------- evaluation
-    def _evaluate_all(
-        self, genomes: list[CoDesignGenome], executor: ThreadPoolExecutor | None
-    ) -> list[CandidateEvaluation]:
-        """Evaluate a fixed list of genomes through the window, behind a barrier.
-
-        The chunks run inline, or on the executor's ``eval_parallelism``
-        threads; the evaluations come back in input order.
-        """
-        size = self.config.eval_batch_size
-        chunks = [genomes[index : index + size] for index in range(0, len(genomes), size)]
-        self.statistics.peak_in_flight = max(
-            self.statistics.peak_in_flight,
-            min(len(genomes), self.config.eval_parallelism * size),
-        )
-        evaluate = map if executor is None else executor.map
-        return [evaluation for batch in evaluate(self._evaluate_chunk, chunks) for evaluation in batch]
-
-    def _evaluate_chunk(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
-        """Evaluate one dispatched chunk of genomes, in input order.
-
-        Each distinct genome goes through the cache's single-flight
-        ``lookup_or_reserve``: hits, including genomes another chunk has in
-        flight, count as cache hits.  A genome repeated within the chunk takes
-        a cache copy of its first occurrence and counts as a cache hit too; it
-        must not reserve again, or it would wait on its own ticket.
-        Reservations are taken in cache-key order, so two chunks holding the
-        same genomes can never wait on each other.
-
-        The fresh genomes go to the evaluator's ``evaluate_batch`` when it has
-        one and there is more than one of them, otherwise one call each.  An
-        evaluator exception fails every fresh genome of the chunk.  Each fresh
-        result is published under its own key with the chunk's wall clock
-        split evenly, so cache and store see what per-candidate dispatch
-        would have produced.
-        """
-        keys = [genome.cache_key() for genome in genomes]
-        results: list[CandidateEvaluation | None] = [None] * len(genomes)
-        first: dict[str, int] = {}
-        repeats: list[tuple[int, int]] = []
-        fresh: list[int] = []
-        elapsed = 0.0
-        try:
-            for index in sorted(range(len(genomes)), key=keys.__getitem__):
-                key = keys[index]
-                if key in first:
-                    repeats.append((index, first[key]))
-                    continue
-                first[key] = index
-                cached, owner = self.cache.lookup_or_reserve(genomes[index])
-                if owner:
-                    fresh.append(index)
-                else:
-                    results[index] = cached
-            fresh.sort()
-            fresh_genomes = [genomes[index] for index in fresh]
-            if fresh_genomes:
-                start = time.perf_counter()
-                try:
-                    batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
-                    if batch_evaluate is not None and len(fresh_genomes) > 1:
-                        evaluations = list(batch_evaluate(fresh_genomes))
-                    else:
-                        evaluations = [self.evaluator(genome) for genome in fresh_genomes]
-                    if len(evaluations) != len(fresh_genomes):
-                        raise SearchError(
-                            "batch evaluator returned "
-                            f"{len(evaluations)} evaluations for {len(fresh_genomes)} genomes"
-                        )
-                except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
-                    evaluations = [
-                        CandidateEvaluation(genome=genome, error=str(exc))
-                        for genome in fresh_genomes
-                    ]
-                elapsed = time.perf_counter() - start
-                for index, evaluation in zip(fresh, evaluations):
-                    evaluation = self._stamp_elapsed(evaluation, elapsed / len(fresh))
-                    self.cache.complete(genomes[index], evaluation)
-                    results[index] = evaluation
-        except BaseException:
-            # Release every reservation this chunk still holds; waiters retry.
-            for index in fresh:
-                if results[index] is None:
-                    self.cache.abandon(genomes[index])
-            raise
-        for index, source in repeats:
-            results[index] = results[source].as_cache_copy()
-        with self._stats_lock:
-            self.statistics.models_evaluated += len(fresh)
-            self.statistics.cache_hits += len(genomes) - len(fresh)
-            self.statistics.total_evaluation_seconds += elapsed
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _stamp_elapsed(evaluation: CandidateEvaluation, elapsed: float) -> CandidateEvaluation:
-        """Fill in the measured wall-clock time when the evaluator left it at 0."""
-        if evaluation.evaluation_seconds != 0.0 or evaluation.failed:
-            return evaluation
-        return CandidateEvaluation(
-            genome=evaluation.genome,
-            accuracy=evaluation.accuracy,
-            accuracy_std=evaluation.accuracy_std,
-            parameter_count=evaluation.parameter_count,
-            fpga_metrics=evaluation.fpga_metrics,
-            gpu_metrics=evaluation.gpu_metrics,
-            synthesis=evaluation.synthesis,
-            train_seconds=evaluation.train_seconds,
-            evaluation_seconds=elapsed,
-            extras=evaluation.extras,
-        )
 
     def _rescore(self, population: Population) -> None:
         """Re-normalize fitness across the current population.

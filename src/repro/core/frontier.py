@@ -72,8 +72,7 @@ class FrontierArchive(Callback):
 
     The archive is an engine :class:`~repro.core.callbacks.Callback`: the
     engine feeds it through ``on_evaluation`` as each evaluation lands, so
-    the frontier is live *during* the run.  It can also be fed directly via :meth:`observe` (e.g. by
-    ``RandomSearch``).  Updates are lock-protected, and duplicate genomes
+    the frontier is live *during* the run.  It can also be fed directly via :meth:`observe`.  Updates are lock-protected, and duplicate genomes
     (cache hits re-entering the history) are ignored so the final state
     matches post-hoc extraction over the run's unique evaluations.
     """

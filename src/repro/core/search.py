@@ -9,12 +9,16 @@ paper's tables and figures are derived from).
 
 It also provides :class:`RandomSearch`, the random-search baseline the
 evolutionary algorithm is compared against in the ablation benchmark (the
-paper cites evidence that evolution beats random search [4]).
+paper cites evidence that evolution beats random search [4]).  Both searches
+evaluate their genomes through the engine's
+:class:`~repro.core.engine.ChunkEvaluator`, so the cache, the evaluation
+window and the run statistics behave the same for each.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -25,7 +29,7 @@ from .cache import EvaluationCache
 from .callbacks import Callback, CallbackList, SearchHistory
 from .candidate import CandidateEvaluation
 from .config import ECADConfig
-from .engine import EngineConfig, EngineResult, EvolutionaryEngine, RunStatistics
+from .engine import ChunkEvaluator, EngineConfig, EngineResult, EvolutionaryEngine, RunStatistics
 from .errors import ConfigurationError
 from .fitness import Constraint, FitnessEvaluator, FitnessObjective, ObjectiveBounds
 from .frontier import FrontierArchive
@@ -344,7 +348,8 @@ class RandomSearch:
     Evaluates ``max_evaluations`` genomes drawn uniformly from the search
     space with the same evaluator and returns the same :class:`SearchResult`
     structure, so the ablation benchmark can compare it directly with the
-    evolutionary engine.
+    evolutionary engine.  ``eval_batch_size`` and ``eval_parallelism`` set
+    the evaluation window exactly as they do for the engine.
     """
 
     def __init__(
@@ -358,9 +363,15 @@ class RandomSearch:
         constraints: list[Constraint | str] | None = None,
         callbacks: list[Callback] | None = None,
         cache: EvaluationCache | None = None,
+        eval_batch_size: int = 1,
+        eval_parallelism: int = 1,
     ) -> None:
         if max_evaluations <= 0:
             raise ConfigurationError(f"max_evaluations must be positive, got {max_evaluations}")
+        if eval_batch_size < 1:
+            raise ConfigurationError(f"eval_batch_size must be >= 1, got {eval_batch_size}")
+        if eval_parallelism < 1:
+            raise ConfigurationError(f"eval_parallelism must be >= 1, got {eval_parallelism}")
         self.space = space
         self.evaluator = evaluator
         self.fitness = FitnessEvaluator(
@@ -371,17 +382,19 @@ class RandomSearch:
         self.device = device
         self.callbacks = list(callbacks or [])
         self.cache = cache if cache is not None else EvaluationCache()
+        self.eval_batch_size = int(eval_batch_size)
+        self.eval_parallelism = int(eval_parallelism)
 
     def run(self) -> SearchResult:
         """Draw, evaluate and rank random candidates.
 
-        When the evaluator exposes the asynchronous batch interface
-        (``submit``/``as_completed``, e.g. :class:`~repro.workers.master.Master`),
-        distinct genomes are dispatched through it and evaluated with up to
-        ``eval_parallelism`` candidates in flight on the configured execution
-        backend; otherwise the original serial loop runs.  Either way the
-        genome draws, the history order and the result ranking are identical,
-        so the ablation baseline stays reproducible.
+        Every genome is drawn up front, so the RNG stream does not depend on
+        the evaluation schedule.  The draws then go through the engine's
+        evaluation pipeline (:class:`~repro.core.engine.ChunkEvaluator`):
+        chunks of ``eval_batch_size`` with up to ``eval_parallelism`` chunks
+        in flight, resolved through the evaluation cache.  They are scored
+        in draw order, so the history and the result ranking do not depend on
+        the window and the ablation baseline stays reproducible.
         """
         rng = np.random.default_rng(self.seed)
         history = SearchHistory()
@@ -389,31 +402,31 @@ class RandomSearch:
             objectives=self.fitness.objectives, constraints=self.fitness.constraints
         )
         statistics = RunStatistics()
-        import time as _time
-
-        start = _time.perf_counter()
-        # Draw every genome up front so the RNG stream does not depend on the
-        # evaluation schedule.
+        start = time.perf_counter()
         genomes: list[CoDesignGenome] = [
             self.space.random_genome(rng, device=self.device)
             for _ in range(self.max_evaluations)
         ]
         statistics.models_generated = len(genomes)
+        chunks = ChunkEvaluator(
+            self.evaluator,
+            self.cache,
+            statistics,
+            batch_size=self.eval_batch_size,
+            parallelism=self.eval_parallelism,
+        )
+        executor = chunks.executor()
+        try:
+            evaluations = chunks.evaluate_all(genomes, executor)
+        finally:
+            if executor is not None:
+                executor.shutdown(wait=True)
 
-        use_async = hasattr(self.evaluator, "submit") and hasattr(self.evaluator, "as_completed")
-        if use_async:
-            evaluations = self._evaluate_async(genomes, statistics)
-        else:
-            evaluations = self._evaluate_serial(genomes, statistics)
-
-        extra_callbacks = CallbackList(self.callbacks)
+        callbacks = CallbackList([history, archive, *self.callbacks])
         bounds = ObjectiveBounds()
         for step, evaluation in enumerate(evaluations):
-            fitness = self.fitness.score_against(evaluation, bounds)
-            history.on_evaluation(evaluation, fitness, step)
-            archive.observe(evaluation, step=step, vector=fitness.vector)
-            extra_callbacks.on_evaluation(evaluation, fitness, step)
-        statistics.wall_clock_seconds = _time.perf_counter() - start
+            callbacks.on_evaluation(evaluation, self.fitness.score_against(evaluation, bounds), step)
+        statistics.wall_clock_seconds = time.perf_counter() - start
         statistics.frontier_size = len(archive)
         statistics.frontier_updates = archive.updates
 
@@ -431,75 +444,3 @@ class RandomSearch:
             statistics=statistics,
             frontier_archive=archive,
         )
-
-    # ------------------------------------------------------------ evaluation
-    def _evaluate_serial(
-        self, genomes: list[CoDesignGenome], statistics: RunStatistics
-    ) -> list[CandidateEvaluation]:
-        """Original serial loop: one evaluator call at a time, cache-first."""
-        import time as _time
-
-        evaluations: list[CandidateEvaluation] = []
-        for genome in genomes:
-            cached = self.cache.lookup(genome)
-            if cached is not None:
-                statistics.cache_hits += 1
-                evaluations.append(cached)
-                continue
-            eval_start = _time.perf_counter()
-            try:
-                evaluation = self.evaluator(genome)
-            except Exception as exc:  # noqa: BLE001 - mirror the engine's behaviour
-                evaluation = CandidateEvaluation(genome=genome, error=str(exc))
-            statistics.models_evaluated += 1
-            statistics.total_evaluation_seconds += _time.perf_counter() - eval_start
-            self.cache.store(evaluation)
-            evaluations.append(evaluation)
-        return evaluations
-
-    def _evaluate_async(
-        self, genomes: list[CoDesignGenome], statistics: RunStatistics
-    ) -> list[CandidateEvaluation]:
-        """Fan distinct genomes out through the evaluator's futures interface.
-
-        Each distinct uncached genome is submitted exactly once; repeat draws
-        are answered by the evaluation cache, matching the serial path's
-        statistics.  Results are collected in completion order but reassembled
-        in draw order.
-        """
-        futures: dict[str, object] = {}
-        for genome in genomes:
-            key = genome.cache_key()
-            if key in futures or self.cache.lookup(genome) is not None:
-                continue
-            futures[key] = self.evaluator.submit(genome)
-
-        fresh: dict[str, CandidateEvaluation] = {}
-        future_keys = {id(future): key for key, future in futures.items()}
-        for done in self.evaluator.as_completed(list(futures.values())):
-            key = future_keys[id(done)]
-            try:
-                evaluation = done.result()
-            except Exception as exc:  # noqa: BLE001 - mirror the engine's behaviour
-                genome = next(g for g in genomes if g.cache_key() == key)
-                evaluation = CandidateEvaluation(genome=genome, error=str(exc))
-            statistics.models_evaluated += 1
-            # The evaluation's own stamp is the only honest per-candidate
-            # time here; submit-to-completion wall time would also count the
-            # queueing delay behind other in-flight candidates.
-            statistics.total_evaluation_seconds += getattr(evaluation, "evaluation_seconds", 0.0)
-            self.cache.store(evaluation)
-            fresh[key] = evaluation
-
-        evaluations: list[CandidateEvaluation] = []
-        first_use = set()
-        for genome in genomes:
-            key = genome.cache_key()
-            if key in fresh and key not in first_use:
-                first_use.add(key)
-                evaluations.append(fresh[key])
-                continue
-            cached = self.cache.lookup(genome)
-            statistics.cache_hits += 1
-            evaluations.append(cached if cached is not None else fresh[key])
-        return evaluations

@@ -260,8 +260,10 @@ class RandomStrategy(SearchStrategy):
     """Uniform random search at the configured evaluation budget.
 
     The ablation baseline.  It shares the search's evaluation cache (and
-    therefore any attached persistent store), but ignores ``warm_start`` —
-    seeding a uniform baseline would bias the very comparison it exists for.
+    therefore any attached persistent store) and honours the evaluation
+    window (``eval_batch_size``, ``eval_parallelism``) like every other
+    strategy, but ignores ``warm_start`` — seeding a uniform baseline would
+    bias the very comparison it exists for.
     """
 
     name = "random"
@@ -285,6 +287,8 @@ class RandomStrategy(SearchStrategy):
                 device=config.hardware.fpga_device(),
                 callbacks=search.callbacks,
                 cache=search.cache,
+                eval_batch_size=config.eval_batch_size,
+                eval_parallelism=config.eval_parallelism,
             ).run()
         finally:
             if owned_master is not None:

@@ -4,8 +4,8 @@
 :class:`~repro.core.cache.EvaluationCache` whose misses fall through to a
 persistent :class:`~repro.store.store.EvaluationStore` (read-through) and
 whose fresh results are queued for batched persistence (write-behind).  The
-engine's evaluation pipeline, ``RandomSearch`` and the master all
-talk to the familiar cache interface and get durability for free:
+evaluation pipeline every search runs on talks to the familiar cache
+interface and gets durability for free:
 
 * ``lookup`` / ``lookup_or_reserve`` — in-memory first; on a miss the store
   is consulted and a hit is promoted into the memory tier (and served with

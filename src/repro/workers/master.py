@@ -12,7 +12,7 @@ execution backend, and merges the individual
 functions consume.  It is also a plain callable ``genome -> CandidateEvaluation``
 so it plugs directly into the engine's ``evaluator`` slot.
 
-Three entry points are offered:
+Two entry points are offered:
 
 * :meth:`evaluate` (also ``__call__``) — one candidate: its worker reports
   are fanned out through the backend and merged on return.  The engine's
@@ -24,26 +24,25 @@ Three entry points are offered:
   processes the chunk goes out as up to pool-size tasks, split between
   same-topology groups and balanced by estimated training cost, so one chunk
   keeps every pool process busy; every other backend runs it as one task.
-* :meth:`submit` / :meth:`as_completed` — one whole candidate as a backend
-  task, returned as a future, for callers that keep several candidates in
-  flight themselves (``RandomSearch``).  Inside a task the workers run
-  serially — nesting backend dispatch inside backend tasks would let the
-  outer tasks starve the pool and deadlock it.
+  Inside a task the workers run serially — nesting backend dispatch inside
+  backend tasks would let the outer tasks starve the pool and deadlock it.
+
+Every search (the engine and ``RandomSearch``) reaches both through the
+engine's :class:`~repro.core.engine.ChunkEvaluator`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, wait
+from concurrent.futures import wait
 from functools import partial
-from typing import Iterator
 
 from ..core.candidate import CandidateEvaluation
 from ..core.genome import CoDesignGenome
 from ..datasets.base import Dataset
 from ..nn.training import TrainingConfig
-from .backends import ExecutionBackend, SerialBackend, process_pool_of, resolve_backend
+from .backends import ExecutionBackend, process_pool_of, resolve_backend
 from .base import EvaluationRequest, Worker, WorkerReport
 
 __all__ = ["Master"]
@@ -54,13 +53,9 @@ def _evaluate_worker(worker: Worker, request: EvaluationRequest) -> WorkerReport
     return worker.evaluate(request.materialize())
 
 
+# Only perfbench still uses this: its span targets patch it by name.
 def _run_workers_serial(task: tuple[list[Worker], EvaluationRequest]) -> tuple[list[WorkerReport], float]:
-    """Evaluate every worker for one request on the current thread/process.
-
-    This is the body of a submitted candidate evaluation; it is module-level
-    and takes only picklable arguments so the same code path serves thread
-    and process backends.
-    """
+    """Evaluate every worker for one request on the current thread/process."""
     workers, request = task
     start = time.perf_counter()
     request = request.materialize()
@@ -106,8 +101,7 @@ class Master:
     backend:
         Execution backend ("serial", "threads", "processes" or an instance)
         used to fan one candidate's worker reports out (:meth:`evaluate`)
-        and to run whole candidates or chunks as tasks (:meth:`submit`,
-        :meth:`evaluate_batch`).
+        and to run chunks as tasks (:meth:`evaluate_batch`).
     max_workers:
         Pool size handed to the backend when it is resolved from a name
         (ignored when an :class:`ExecutionBackend` instance is passed).
@@ -191,35 +185,6 @@ class Master:
 
     # The engine expects a plain callable evaluator.
     __call__ = evaluate
-
-    def submit(self, genome: CoDesignGenome) -> "Future[CandidateEvaluation]":
-        """Schedule one whole candidate evaluation; return its future.
-
-        The returned future resolves to the merged
-        :class:`CandidateEvaluation`.
-        """
-        request = self.build_request(genome)
-        inner = self.backend.submit(_run_workers_serial, (self.workers, request))
-        outer: Future = Future()
-        outer.set_running_or_notify_cancel()
-
-        def _finish(done: Future) -> None:
-            try:
-                exc = done.exception()
-                if exc is not None:
-                    outer.set_exception(exc)
-                else:
-                    reports, elapsed = done.result()
-                    outer.set_result(self._merge(genome, reports, elapsed))
-            except Exception as unexpected:  # noqa: BLE001 - never lose a waiter
-                outer.set_exception(unexpected)
-
-        inner.add_done_callback(_finish)
-        return outer
-
-    def as_completed(self, futures) -> Iterator["Future[CandidateEvaluation]"]:
-        """Yield candidate futures in completion order (backend passthrough)."""
-        return self.backend.as_completed(futures)
 
     def evaluate_batch(self, genomes: list[CoDesignGenome]) -> list[CandidateEvaluation]:
         """Evaluate a batch of candidates, in input order.

@@ -757,8 +757,8 @@ class TestEngineBatching:
         evaluator = _BatchRecordingEvaluator(fake_evaluator)
         engine = self._engine(small_search_space, evaluator, eval_batch_size=2)
         genome = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
-        first = engine._evaluate_chunk([genome])
-        second = engine._evaluate_chunk([genome])
+        first = engine.chunks.evaluate_chunk([genome])
+        second = engine.chunks.evaluate_chunk([genome])
         assert not first[0].from_cache
         assert second[0].from_cache
         assert first[0].accuracy == second[0].accuracy
@@ -768,7 +768,7 @@ class TestEngineBatching:
         other = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
         while other.cache_key() == genome.cache_key():
             other = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
-        fresh, repeat = engine._evaluate_chunk([other, other])
+        fresh, repeat = engine.chunks.evaluate_chunk([other, other])
         assert not fresh.from_cache and repeat.from_cache
         assert repeat.accuracy == fresh.accuracy
         assert engine.statistics.cache_hits == 2

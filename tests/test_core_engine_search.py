@@ -482,7 +482,7 @@ _SEEDED_DIGESTS = {
     "generational_nsga2": "01ce9c91b2b3b829",
     "window1_batch4": "e5b0e89178f7e3ba",
     "window1_batch4_failures": "b9a5698421b8aa81",
-    "random_search": "57648e8334a82178",
+    "random_search": "3461b3ec87e8acd6",
     "surrogate_weighted_sum": "fb8e47be4701b6a1",
     "surrogate_nsga2": "8c82b823111aa0ea",
 }
@@ -614,7 +614,7 @@ class TestBatchedDispatchRepeats:
         while second.cache_key() == first.cache_key():
             second = small_search_space.random_genome(rng, device=ARRIA10_GX1150)
         runners = [
-            _threading.Thread(target=engine._evaluate_chunk, args=(chunk,), daemon=True)
+            _threading.Thread(target=engine.chunks.evaluate_chunk, args=(chunk,), daemon=True)
             for chunk in ([first, second], [second, first])
         ]
         for runner in runners:
@@ -767,9 +767,13 @@ class TestRandomSearch:
         assert result.frontier
         assert result.statistics.models_generated == 30
 
-    def test_random_search_validation(self, small_search_space, fake_evaluator):
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"max_evaluations": 0}, {"eval_batch_size": 0}, {"eval_parallelism": 0}],
+    )
+    def test_random_search_validation(self, small_search_space, fake_evaluator, overrides):
         with pytest.raises(ConfigurationError):
-            RandomSearch(small_search_space, fake_evaluator, max_evaluations=0)
+            RandomSearch(small_search_space, fake_evaluator, **overrides)
 
     def test_evolution_at_least_matches_random_on_fake_landscape(
         self, small_search_space, fake_evaluator
@@ -801,59 +805,74 @@ class TestRandomSearch:
         assert evolved_best_throughput >= 0.8 * random_best_throughput
 
 
-class TestRandomSearchAsync:
-    """RandomSearch routes through the evaluator's submit/as_completed API."""
+def _six_genome_space() -> CoDesignSearchSpace:
+    """One hidden layer of 8, 16 or 32 neurons, relu or tanh, one hardware point."""
+    space = _three_genome_space()
+    return CoDesignSearchSpace(
+        mlp_space=MLPSearchSpace(
+            min_layers=1,
+            max_layers=1,
+            layer_sizes=(8, 16, 32),
+            activations=("relu", "tanh"),
+            allow_bias_toggle=False,
+        ),
+        hardware_space=space.hardware_space,
+        gpu_batch_sizes=space.gpu_batch_sizes,
+    )
 
-    class _AsyncEvaluator:
-        """Futures-capable wrapper around a plain evaluator function."""
 
-        def __init__(self, function, max_workers: int = 4) -> None:
-            from repro.workers.backends import ThreadPoolBackend
+class TestRandomSearchWindow:
+    """RandomSearch evaluates its draws through the engine's chunk pipeline."""
 
-            self.function = function
-            self.backend = ThreadPoolBackend(max_workers=max_workers)
-            self.submitted = 0
+    @staticmethod
+    def _run(evaluator, **window):
+        return RandomSearch(
+            space=_six_genome_space(),
+            evaluator=evaluator,
+            objectives=[FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()],
+            max_evaluations=40,
+            seed=0,
+            device=ARRIA10_GX1150,
+            **window,
+        ).run()
 
-        def __call__(self, genome):
-            return self.function(genome)
+    @pytest.mark.parametrize(
+        "eval_parallelism, eval_batch_size", [(1, 1), (4, 1), (1, 4), (2, 3)]
+    )
+    def test_window_matches_serial_results(self, fake_evaluator, eval_parallelism, eval_batch_size):
+        from tests.test_batched_evaluation import _BatchRecordingEvaluator
 
-        def submit(self, genome):
-            self.submitted += 1
-            return self.backend.submit(self.function, genome)
+        serial = self._run(fake_evaluator)
+        evaluated: list[str] = []
 
-        def as_completed(self, futures):
-            return self.backend.as_completed(futures)
+        def counted(genome):
+            evaluated.append(genome.cache_key())
+            return fake_evaluator(genome)
 
-    def test_async_path_matches_serial_results(self, small_search_space, fake_evaluator):
-        def run(evaluator):
-            return RandomSearch(
-                space=small_search_space,
-                evaluator=evaluator,
-                objectives=[FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()],
-                max_evaluations=30,
-                seed=0,
-                device=ARRIA10_GX1150,
-            ).run()
-
-        serial = run(fake_evaluator)
-        async_evaluator = self._AsyncEvaluator(fake_evaluator)
-        parallel = run(async_evaluator)
-        async_evaluator.backend.shutdown()
-
-        assert parallel.best_accuracy == serial.best_accuracy
-        assert len(parallel.history) == len(serial.history) == 30
-        assert parallel.statistics.models_generated == serial.statistics.models_generated
-        # duplicates are answered by the cache, never submitted twice
-        assert async_evaluator.submitted == parallel.statistics.models_evaluated
-        assert (
-            parallel.statistics.models_evaluated + parallel.statistics.cache_hits
-            == parallel.statistics.models_generated
+        evaluator = _BatchRecordingEvaluator(counted)
+        windowed = self._run(
+            evaluator, eval_parallelism=eval_parallelism, eval_batch_size=eval_batch_size
         )
-        serial_order = [e.genome.cache_key() for e in serial.history.evaluations()]
-        parallel_order = [e.genome.cache_key() for e in parallel.history.evaluations()]
-        assert serial_order == parallel_order
 
-    def test_async_path_through_real_master(self, tiny_dataset):
+        serial_history = serial.history.evaluations()
+        windowed_history = windowed.history.evaluations()
+        assert len(windowed_history) == len(serial_history) == 40
+        assert [e.genome.cache_key() for e in windowed_history] == [
+            e.genome.cache_key() for e in serial_history
+        ]
+        assert [e.accuracy for e in windowed_history] == [e.accuracy for e in serial_history]
+        assert windowed.statistics.models_evaluated == serial.statistics.models_evaluated
+        assert windowed.statistics.cache_hits == serial.statistics.cache_hits
+        assert serial.statistics.cache_hits > 0  # the draws repeat
+        # duplicates are answered by the cache, never evaluated twice
+        assert len(evaluated) == len(set(evaluated)) == windowed.statistics.models_evaluated
+        assert windowed.best_accuracy == serial.best_accuracy
+        if eval_batch_size > 1:
+            assert max(evaluator.batch_sizes) > 1
+        else:
+            assert evaluator.batch_sizes == []
+
+    def test_real_master_window(self, tiny_dataset):
         config = ECADConfig.template_for_dataset(
             tiny_dataset,
             population_size=4,
@@ -872,6 +891,7 @@ class TestRandomSearchAsync:
                 max_evaluations=6,
                 seed=2,
                 device=config.hardware.fpga_device(),
+                eval_parallelism=4,
             ).run()
         finally:
             master.shutdown()
@@ -880,7 +900,7 @@ class TestRandomSearchAsync:
         assert result.statistics.total_evaluation_seconds > 0
         assert 0 <= result.best_accuracy <= 1
 
-    def test_async_path_captures_evaluator_failures(self, small_search_space, fake_evaluator):
+    def test_window_captures_evaluator_failures(self, small_search_space, fake_evaluator):
         calls = {"n": 0}
 
         def flaky(genome):
@@ -889,18 +909,57 @@ class TestRandomSearchAsync:
                 raise RuntimeError("injected failure")
             return fake_evaluator(genome)
 
-        evaluator = self._AsyncEvaluator(flaky, max_workers=2)
         result = RandomSearch(
             space=small_search_space,
-            evaluator=evaluator,
+            evaluator=flaky,
             objectives=[FitnessObjective.accuracy()],
             max_evaluations=12,
             seed=5,
             device=ARRIA10_GX1150,
+            eval_parallelism=2,
         ).run()
-        evaluator.backend.shutdown()
         assert len(result.history) == 12
         failed = [e for e in result.history.evaluations() if e.failed]
         assert failed  # injected failures surfaced as failed evaluations
         assert all("injected failure" in e.error for e in failed)
         assert 0 <= result.best_accuracy <= 1
+
+    def test_failed_genomes_are_evaluated_again_through_a_real_master(self):
+        """Failures are never cached, so a repeat of a failed genome is no cache hit."""
+        from repro.workers.base import Worker, WorkerReport
+        from repro.workers.master import Master
+
+        class TanhFailsWorker(Worker):
+            name = "stub"
+
+            def __init__(self) -> None:
+                self.calls = 0
+
+            def evaluate(self, request):
+                self.calls += 1
+                if request.genome.mlp.activations[0] == "tanh":
+                    return WorkerReport(worker_name=self.name, error="injected tanh failure")
+                return WorkerReport(
+                    worker_name=self.name,
+                    accuracy=request.genome.mlp.hidden_layers[0] / 64,
+                    parameter_count=request.genome.mlp.hidden_layers[0],
+                )
+
+        worker = TanhFailsWorker()
+        master = Master(workers=[worker], backend="serial")
+        try:
+            result = RandomSearch(
+                space=_six_genome_space(), evaluator=master, max_evaluations=40, seed=0
+            ).run()
+        finally:
+            master.shutdown()
+
+        stats = result.statistics
+        draws = result.history.evaluations()
+        successful = [e.genome.cache_key() for e in draws if not e.failed]
+        assert len(successful) < len(draws)
+        assert len(successful) - len(set(successful)) > 0  # successful genomes repeat
+        assert len(draws) - len(successful) > len({e.genome.cache_key() for e in draws if e.failed})
+        assert stats.models_evaluated + stats.cache_hits == stats.models_generated == 40
+        assert stats.models_evaluated == len(draws) - (len(successful) - len(set(successful)))
+        assert worker.calls == stats.models_evaluated

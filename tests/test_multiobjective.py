@@ -484,6 +484,17 @@ class TestStrategiesEndToEnd:
         assert result.frontier_archive is not None
         assert result.statistics.frontier_size == len(result.frontier_archive)
 
+    def test_random_strategy_honours_the_evaluation_window(self, tiny_dataset, fake_evaluator):
+        serial = self._search(tiny_dataset, strategy="random").run(evaluator=fake_evaluator)
+        windowed = self._search(
+            tiny_dataset, strategy="random", eval_batch_size=4, eval_parallelism=2
+        ).run(evaluator=fake_evaluator)
+        assert serial.statistics.peak_in_flight == 1
+        assert windowed.statistics.peak_in_flight == 8
+        assert [e.genome.cache_key() for e in windowed.history.evaluations()] == [
+            e.genome.cache_key() for e in serial.history.evaluations()
+        ]
+
     def test_random_strategy_dispatches_search_callbacks(self, tiny_dataset, fake_evaluator):
         """Regression: user callbacks must not be dropped by the random strategy."""
         seen: list[int] = []

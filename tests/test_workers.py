@@ -431,19 +431,6 @@ class TestMaster:
         with pytest.raises(ValueError):
             Master(workers=[PhysicalWorker(device=ARRIA10_GX1150)], max_workers=0)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_submit_and_as_completed_collect_all_results(
-        self, tiny_dataset, fast_training_config, small_search_space, rng, backend
-    ):
-        master = self._master(tiny_dataset, fast_training_config, backend=backend)
-        genomes = [small_search_space.random_genome(rng, device=ARRIA10_GX1150) for _ in range(3)]
-        futures = [master.submit(genome) for genome in genomes]
-        collected = [future.result() for future in master.as_completed(futures)]
-        assert len(collected) == 3
-        assert all(not evaluation.failed for evaluation in collected)
-        assert {e.genome.cache_key() for e in collected} == {g.cache_key() for g in genomes}
-        master.shutdown()
-
     def test_serial_and_parallel_population_results_match(
         self, tiny_dataset, fast_training_config, small_search_space, rng
     ):
