@@ -24,7 +24,7 @@ from repro.analysis.reporting import format_table, save_rows_csv
 from repro.core.config import ECADConfig, OptimizationTargetConfig
 from repro.core.search import CoDesignSearch
 from repro.datasets.registry import load_dataset
-from repro.nn.evaluation import evaluate_kfold, evaluate_single_fold
+from repro.nn.evaluation import evaluate_kfold_batch, evaluate_single_fold_batch
 from repro.nn.mlp import MLPSpec
 from repro.nn.training import TrainingConfig
 
@@ -110,23 +110,23 @@ def baseline_mlp_accuracy(dataset, num_folds: int = 3, seed: int = 0) -> float:
         activations=("relu",),
     )
     if dataset.has_test_split:
-        result = evaluate_single_fold(
+        (result,) = evaluate_single_fold_batch(
             spec,
             dataset.features,
             dataset.labels,
             dataset.test_features,
             dataset.test_labels,
             training_config=BENCH_TRAINING,
-            seed=seed,
+            seeds=[seed],
         )
     else:
-        result = evaluate_kfold(
+        (result,) = evaluate_kfold_batch(
             spec,
             dataset.features,
             dataset.labels,
             num_folds=num_folds,
             training_config=BENCH_TRAINING,
-            seed=seed,
+            seeds=[seed],
         )
     return result.accuracy
 

@@ -1,25 +1,25 @@
 """Ablation — k-fold training: stacked folds vs the scalar fold loop.
 
-A k-fold candidate's folds can train as one stacked group
-(:func:`~repro.nn.evaluation.evaluate_kfold_batch`) or one after another on
-the scalar trainer (:func:`~repro.nn.evaluation.evaluate_kfold`, the scalar
-reference).  :meth:`SimulationWorker.evaluate` picks by the dataset's size:
-stacked up to ``2**19`` feature elements (rows x features), fold by fold
-above.  Stacking pays where each step's GEMMs are small, and a stacked chunk
-holds about two copies of each of its folds, so wide or tall datasets stay
-on the scalar loop.
+Every k-fold candidate trains on the stacked trainer through
+:meth:`SimulationWorker.evaluate`.  How many folds it stacks per group
+depends on the dataset's size: up to 8 at or below ``2**19`` feature
+elements (rows x features), one above.  Stacking pays where each step's GEMMs
+are small, and a stacked chunk holds about two copies of each of its folds,
+so wide or tall datasets train their folds in groups of one.  The scalar
+fold loop (:func:`~repro.nn.reference.evaluate_kfold`, the reference the
+stacked path is bit-identical to) is the baseline.
 
 This benchmark runs one dataset on each side of that line, 10 folds, each
 through the worker and through the scalar reference, and records seconds
 per candidate (best of three passes) and the peak of traced allocations
 (``tracemalloc``) while one candidate trains:
 
-* ``credit_g_like`` (1000 x 20, stacked): the worker must be at least 1.2x
-  faster than the scalar loop (1.49x measured on a quiet 2-CPU host, 1.24x
-  with the test suite running beside it).
+* ``credit_g_like`` (1000 x 20, below the line): the worker must stack folds
+  and be at least 1.2x faster than the scalar loop (1.49x measured on a
+  quiet 2-CPU host, 1.24x with the test suite running beside it).
 * ``har_like`` at scale 0.1 (1030 x 561, above the line): the worker must
-  train no stacked group and so allocate no more than the scalar loop (10%
-  slack).
+  train only groups of one and allocate no more than the scalar loop (10%
+  slack).  Its speedup over the scalar loop is reported, not asserted.
 
 Both cases assert the worker's fold accuracies equal the reference's.
 """
@@ -35,7 +35,7 @@ from repro.core.genome import CoDesignGenome, HardwareGenome, MLPGenome
 from repro.datasets.registry import load_dataset
 from repro.hardware.systolic import GridConfig
 from repro.nn import batched as nn_batched
-from repro.nn.evaluation import evaluate_kfold
+from repro.nn.reference import evaluate_kfold
 from repro.nn.training import TrainingConfig
 from repro.workers.base import EvaluationRequest
 from repro.workers.simulation import SimulationWorker
@@ -49,7 +49,7 @@ TOPOLOGIES = [
     ((32,), ("tanh",)),
     ((128,), ("elu",)),
 ]
-#: (dataset, scale, whether the worker stacks its folds)
+#: (dataset, scale, whether the worker stacks folds into groups larger than one)
 CASES = [("credit_g_like", 1.0, True), ("har_like", 0.1, False)]
 
 
@@ -124,7 +124,10 @@ def test_kfold_routing(monkeypatch, name, scale, stacked):
     worker_s, worker_folds = _timed(through_worker, requests)
     scalar_s, scalar_folds = _timed(_scalar, requests)
     assert worker_folds == scalar_folds
-    assert bool(groups) == stacked
+    if stacked:
+        assert max(groups) > 1
+    else:
+        assert set(groups) == {1}
 
     worker_peak = _peak_bytes(through_worker, requests[0])
     scalar_peak = _peak_bytes(_scalar, requests[0])
@@ -132,7 +135,7 @@ def test_kfold_routing(monkeypatch, name, scale, stacked):
         {
             "dataset": name,
             "shape": "x".join(str(n) for n in dataset.features.shape),
-            "route": "stacked" if stacked else "scalar",
+            "route": "stacked" if stacked else "groups of one",
             "worker_s_per_candidate": round(worker_s, 4),
             "scalar_s_per_candidate": round(scalar_s, 4),
             "speedup": round(scalar_s / worker_s, 3),

@@ -23,7 +23,7 @@ from repro.hardware.device import STRATIX10_2800, TITAN_X
 from repro.hardware.fpga_model import FPGAPerformanceModel
 from repro.hardware.gpu_model import GPUPerformanceModel
 from repro.hardware.systolic import GridSearchSpace
-from repro.nn.evaluation import evaluate_single_fold
+from repro.nn.evaluation import evaluate_single_fold_batch
 from repro.nn.mlp import MLPSpec
 from repro.nn.training import TrainingConfig
 
@@ -44,14 +44,14 @@ def main() -> None:
         hidden_sizes=(100,),
         activations=("relu",),
     )
-    baseline = evaluate_single_fold(
+    (baseline,) = evaluate_single_fold_batch(
         baseline_spec,
         dataset.features,
         dataset.labels,
         dataset.test_features,
         dataset.test_labels,
         training_config=training,
-        seed=0,
+        seeds=[0],
     )
     print(f"\nfixed 100-neuron MLP baseline accuracy: {baseline.accuracy:.4f}")
 

@@ -1,9 +1,11 @@
 """From-scratch numpy MLP substrate.
 
 This subpackage replaces the TensorFlow/Keras training stack used in the
-original ECAD experiments: dense layers, activations, losses, optimizers, a
-mini-batch trainer, and the single-fold / 10-fold evaluation protocols the
-paper's tables rely on.
+original ECAD experiments: dense layers, activations, losses, the stacked
+mini-batch trainer with its optimizers, and the single-fold / 10-fold
+evaluation protocols the paper's tables rely on.  The scalar one-model
+trainer those protocols are tested against lives in :mod:`repro.nn.reference`
+and is not exported here.
 """
 
 from .activations import (
@@ -22,9 +24,7 @@ from .activations import (
 from .batched import BatchedTrainer, StackedMLPGroup, train_and_score_batch
 from .evaluation import (
     EvaluationResult,
-    evaluate_kfold,
     evaluate_kfold_batch,
-    evaluate_single_fold,
     evaluate_single_fold_batch,
     kfold_indices,
 )
@@ -33,9 +33,8 @@ from .layers import DenseLayer, GemmShape
 from .losses import BinaryCrossEntropy, CategoricalCrossEntropy, MeanSquaredError, get_loss
 from .metrics import accuracy, confusion_matrix, error_rate, macro_f1, precision_recall_f1, top_k_accuracy
 from .mlp import MLP, MLPSpec
-from .optimizers import SGD, Adam, MomentumSGD, Optimizer, RMSProp, available_optimizers, get_optimizer
 from .preprocessing import MinMaxScaler, OneHotEncoder, StandardScaler, one_hot, train_test_split
-from .training import Trainer, TrainingConfig, TrainingHistory
+from .training import TrainingConfig, TrainingHistory
 
 __all__ = [
     "Activation",
@@ -53,9 +52,7 @@ __all__ = [
     "StackedMLPGroup",
     "train_and_score_batch",
     "EvaluationResult",
-    "evaluate_kfold",
     "evaluate_kfold_batch",
-    "evaluate_single_fold",
     "evaluate_single_fold_batch",
     "kfold_indices",
     "available_initializers",
@@ -75,19 +72,11 @@ __all__ = [
     "top_k_accuracy",
     "MLP",
     "MLPSpec",
-    "SGD",
-    "Adam",
-    "MomentumSGD",
-    "Optimizer",
-    "RMSProp",
-    "available_optimizers",
-    "get_optimizer",
     "MinMaxScaler",
     "OneHotEncoder",
     "StandardScaler",
     "one_hot",
     "train_test_split",
-    "Trainer",
     "TrainingConfig",
     "TrainingHistory",
 ]

@@ -18,8 +18,10 @@ whole group instead of one per tensor.
 
 Bit-compatibility contract
 --------------------------
-:class:`BatchedTrainer` reproduces :class:`repro.nn.training.Trainer`
-*bit-for-bit* given the same per-candidate seeds:
+:class:`BatchedTrainer` reproduces the scalar reference trainer,
+:class:`repro.nn.reference.Trainer`, *bit-for-bit* given the same
+per-candidate seeds; every candidate the search evaluates trains here, and
+the reference exists only for the ``==`` tests and benchmarks:
 
 * weight init comes from per-candidate :class:`~repro.nn.mlp.MLP`
   construction (the flat buffer holds copies of the scalar layers),
@@ -79,7 +81,7 @@ _PREDICT_BLOCK_BYTES = 2 << 20
 
 # --------------------------------------------------------------- optimizers
 class _BatchedOptimizer:
-    """Group-stacked mirror of :class:`repro.nn.optimizers.Optimizer`.
+    """Group-stacked mirror of :class:`repro.nn.reference.Optimizer`.
 
     Parameters live in one ``(group, P)`` buffer (see
     :class:`StackedMLPGroup`); each state the optimizer keeps is one more
@@ -417,7 +419,7 @@ class StackedMLPGroup:
 class BatchedTrainer:
     """Trains a same-spec group of candidates with fused batched GEMMs.
 
-    The public contract matches running :class:`~repro.nn.training.Trainer`
+    The public contract matches running :class:`~repro.nn.reference.Trainer`
     once per candidate with that candidate's seed — see the module docstring
     for why the results are bit-identical.
     """
@@ -587,7 +589,7 @@ def train_and_score_batch(
 ) -> list[tuple[float, TrainingHistory]]:
     """Train a same-spec, same-shape group and score each run on its test split.
 
-    The batched mirror of ``repro.nn.evaluation._train_and_score`` (minus
+    The batched mirror of ``repro.nn.reference._train_and_score`` (minus
     standardization, which the caller applies per run): returns one
     ``(test accuracy, history)`` pair per run, in input order, bit-identical
     to looping the scalar path with the same seeds.

@@ -7,17 +7,19 @@ The paper reports two evaluation protocols:
 * **single fold** (pre-split train/test) for MNIST and Fashion-MNIST
   (Table II) and for the Pareto-frontier searches (Table IV).
 
-Both are implemented here on top of the trainer, and both return an
-:class:`EvaluationResult` whose fields map directly onto the metrics the ECAD
-fitness functions consume.
+Both train on the stacked :class:`~repro.nn.batched.BatchedTrainer`, one
+seed per candidate, and both return an :class:`EvaluationResult` whose
+fields map directly onto the metrics the ECAD fitness functions consume.
+:func:`evaluate_single_fold_batch` and :func:`evaluate_kfold_batch` take a
+list of seeds; one candidate is ``seeds=[seed]``.  A candidate's runs (its
+folds, or its one train/test split) are pooled with those of every other
+seed, grouped by shape and trained in chunks of at most ``max_group_size``
+stacked runs, and only one chunk's arrays are alive at a time.
 
-:func:`evaluate_kfold` trains fold after fold on the scalar
-:class:`~repro.nn.training.Trainer` and is the scalar reference.  The search
-trains a k-fold candidate's folds as one stacked group through
-:func:`evaluate_kfold_batch` whenever the dataset is small enough (the
-simulation worker calls it with one seed per candidate at batch size 1, and
-pools candidates at larger batch sizes); that path is bit-identical to the
-reference and holds one chunk of stacked folds at a time.
+Both are bit-identical to the fold-by-fold scalar loop in
+:mod:`repro.nn.reference` (:func:`~repro.nn.reference.evaluate_single_fold`,
+:func:`~repro.nn.reference.evaluate_kfold`) at the same seeds, up to the
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -29,16 +31,13 @@ from functools import partial
 
 import numpy as np
 
-from .metrics import accuracy
-from .mlp import MLP, MLPSpec
+from .mlp import MLPSpec
 from .preprocessing import StandardScaler
-from .training import Trainer, TrainingConfig, TrainingHistory
+from .training import TrainingConfig, TrainingHistory
 
 __all__ = [
     "EvaluationResult",
     "kfold_indices",
-    "evaluate_single_fold",
-    "evaluate_kfold",
     "evaluate_single_fold_batch",
     "evaluate_kfold_batch",
 ]
@@ -103,113 +102,6 @@ def kfold_indices(num_samples: int, num_folds: int, seed: int | None = None) -> 
     return folds
 
 
-def _train_and_score(
-    spec: MLPSpec,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    test_x: np.ndarray,
-    test_y: np.ndarray,
-    training_config: TrainingConfig,
-    seed: int | None,
-    standardize: bool,
-) -> tuple[float, TrainingHistory]:
-    """Train one model on one fold and return (test accuracy, history)."""
-    if standardize:
-        scaler = StandardScaler().fit(train_x)
-        train_x = scaler.transform(train_x)
-        test_x = scaler.transform(test_x)
-    model = MLP(spec, seed=seed)
-    trainer = Trainer(training_config, seed=seed)
-    history = trainer.fit(model, train_x, train_y)
-    score = accuracy(model.predict(test_x), test_y)
-    return score, history
-
-
-def evaluate_single_fold(
-    spec: MLPSpec,
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
-    test_features: np.ndarray,
-    test_labels: np.ndarray,
-    training_config: TrainingConfig | None = None,
-    seed: int | None = None,
-    standardize: bool = True,
-) -> EvaluationResult:
-    """Train on the given train split and report accuracy on the test split.
-
-    This is the protocol used for MNIST / Fashion-MNIST (Table II) and the
-    Pareto-frontier searches (Table IV).
-    """
-    training_config = training_config or TrainingConfig()
-    start = time.perf_counter()
-    score, history = _train_and_score(
-        spec,
-        np.asarray(train_features, dtype=float),
-        np.asarray(train_labels).reshape(-1),
-        np.asarray(test_features, dtype=float),
-        np.asarray(test_labels).reshape(-1),
-        training_config,
-        seed,
-        standardize,
-    )
-    elapsed = time.perf_counter() - start
-    return EvaluationResult(
-        accuracy=score,
-        fold_accuracies=[score],
-        train_seconds=elapsed,
-        parameter_count=spec.parameter_count,
-        histories=[history],
-    )
-
-
-def evaluate_kfold(
-    spec: MLPSpec,
-    features: np.ndarray,
-    labels: np.ndarray,
-    num_folds: int = 10,
-    training_config: TrainingConfig | None = None,
-    seed: int | None = None,
-    standardize: bool = True,
-) -> EvaluationResult:
-    """k-fold cross-validated accuracy of one MLP specification.
-
-    This is the OpenML 10-fold protocol used for Table I.  The same
-    specification is retrained from scratch on every fold; the reported
-    accuracy is the mean over folds.
-    """
-    training_config = training_config or TrainingConfig()
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels).reshape(-1)
-    folds = kfold_indices(features.shape[0], num_folds, seed=seed)
-
-    start = time.perf_counter()
-    fold_accuracies: list[float] = []
-    histories: list[TrainingHistory] = []
-    for fold_number, (train_idx, test_idx) in enumerate(folds):
-        fold_seed = None if seed is None else seed + fold_number
-        score, history = _train_and_score(
-            spec,
-            features[train_idx],
-            labels[train_idx],
-            features[test_idx],
-            labels[test_idx],
-            training_config,
-            fold_seed,
-            standardize,
-        )
-        fold_accuracies.append(score)
-        histories.append(history)
-    elapsed = time.perf_counter() - start
-
-    return EvaluationResult(
-        accuracy=float(np.mean(fold_accuracies)),
-        fold_accuracies=fold_accuracies,
-        train_seconds=elapsed,
-        parameter_count=spec.parameter_count,
-        histories=histories,
-    )
-
-
 # ------------------------------------------------------------ batched paths
 #: One training run of a batched evaluation, ``(shape, build)``: ``build()``
 #: returns ``(train_x, train_y, test_x, test_y, seed)`` on demand.  Runs with
@@ -229,10 +121,10 @@ def _score_runs_batched(
 
     Runs are grouped by their ``shape`` key, chunked to ``max_group_size``
     and trained through :func:`~repro.nn.batched.train_and_score_batch`.  A
-    chunk's runs are built and standardized (scaler fit on that run's train
-    split, exactly as :func:`_train_and_score`) only when the chunk trains,
-    so at most one chunk's arrays are alive at a time.  Results are
-    bit-identical to looping :func:`_train_and_score` with the same seeds.
+    chunk's runs are built and standardized (scaler fit on that run's own
+    train split) only when the chunk trains, so at most one chunk's arrays
+    are alive at a time.  Results are bit-identical to training each run on
+    the scalar :class:`~repro.nn.reference.Trainer` with the same seed.
     """
     from .batched import train_and_score_batch
 
@@ -327,9 +219,9 @@ def evaluate_single_fold_batch(
     The candidates share the dataset arrays and differ only in seed (the
     master derives one per genome), so preprocessing is shared and training
     is fused across the group.  Returns one :class:`EvaluationResult` per
-    seed, bit-identical to calling :func:`evaluate_single_fold` in a loop —
-    except the wall-clock fields, which report each candidate's share of the
-    fused group time.
+    seed, bit-identical to :func:`repro.nn.reference.evaluate_single_fold`
+    called in a loop — except the wall-clock fields, which report each
+    candidate's share of the fused group time.
     """
     training_config = training_config or TrainingConfig()
     if seeds is None:
@@ -370,10 +262,10 @@ def evaluate_kfold_batch(
     """k-fold evaluation of many same-spec candidates with fused training.
 
     Every candidate keeps its own fold split (``kfold_indices`` seeded by its
-    seed) and per-fold seeds, exactly as :func:`evaluate_kfold`; the
-    candidate x fold runs are pooled and batch-trained together.  Returns one
-    :class:`EvaluationResult` per seed, bit-identical to the looped scalar
-    path up to wall-clock fields.
+    seed) and per-fold seeds, exactly as
+    :func:`repro.nn.reference.evaluate_kfold`; the candidate x fold runs are
+    pooled and batch-trained together.  Returns one :class:`EvaluationResult`
+    per seed, bit-identical to that fold-by-fold loop up to wall-clock fields.
     """
     training_config = training_config or TrainingConfig()
     if seeds is None:

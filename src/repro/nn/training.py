@@ -1,29 +1,20 @@
-"""Mini-batch training loop used by the ECAD simulation worker.
+"""Training budget and per-run history of candidate training.
 
 Each co-design candidate that reaches a worker is trained from scratch with a
-bounded budget (epochs, early stopping patience).  The trainer records a
-per-epoch history (mean training loss, validation accuracy) so the analysis
-layer can inspect convergence, and it measures wall-clock training time
-because Table III of the paper reports average and total evaluation time.
-
-The validation holdout is a split of row indices, not of rows: each
-mini-batch is gathered straight from the caller's matrix through the run's
-train indices, and only the small validation slice is copied, once.
+bounded budget (epochs, early stopping patience), described by
+:class:`TrainingConfig`.  Training records a per-epoch
+:class:`TrainingHistory` (mean training loss, validation accuracy) so the
+analysis layer can inspect convergence, and it measures wall-clock training
+time because Table III of the paper reports average and total evaluation
+time.  The trainer itself is the stacked
+:class:`~repro.nn.batched.BatchedTrainer`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .metrics import accuracy
-from .mlp import MLP
-from .optimizers import Optimizer, get_optimizer
-from .preprocessing import one_hot
-
-__all__ = ["TrainingConfig", "TrainingHistory", "Trainer"]
+__all__ = ["TrainingConfig", "TrainingHistory"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +31,8 @@ class TrainingConfig:
     batch_size:
         Mini-batch size; also the default inference batch for hardware models.
     optimizer:
-        Optimizer name understood by :func:`repro.nn.optimizers.get_optimizer`.
+        Optimizer name: ``"sgd"``, ``"momentum"``, ``"rmsprop"`` or ``"adam"``
+        (the stacked optimizers of :mod:`repro.nn.batched`).
     learning_rate:
         Learning rate forwarded to the optimizer.
     early_stopping_patience:
@@ -117,98 +109,3 @@ def _validation_count(config: TrainingConfig, num_samples: int) -> int:
     if count < 1 or num_samples - count < 1:
         return 0
     return count
-
-
-class Trainer:
-    """Trains an :class:`repro.nn.mlp.MLP` on a labelled dataset."""
-
-    def __init__(self, config: TrainingConfig | None = None, seed: int | None = None) -> None:
-        self.config = config or TrainingConfig()
-        self._rng = np.random.default_rng(seed)
-
-    def fit(
-        self,
-        model: MLP,
-        features: np.ndarray,
-        labels: np.ndarray,
-        optimizer: Optimizer | None = None,
-    ) -> TrainingHistory:
-        """Train ``model`` in place and return the per-epoch history.
-
-        Parameters
-        ----------
-        model:
-            The MLP to train; its weights are modified in place.
-        features:
-            2-D feature matrix, already preprocessed/standardized.
-        labels:
-            Integer class labels (one-hot encoding is performed internally).
-        optimizer:
-            Optional pre-built optimizer; by default one is constructed from
-            the training configuration.
-        """
-        config = self.config
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels).reshape(-1).astype(int)
-        if features.ndim != 2:
-            raise ValueError(f"expected a 2-D feature matrix, got shape {features.shape}")
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"features ({features.shape[0]} rows) and labels ({labels.shape[0]}) disagree"
-            )
-        if features.shape[1] != model.spec.input_size:
-            raise ValueError(
-                f"model expects {model.spec.input_size} features, data has {features.shape[1]}"
-            )
-        if labels.size and labels.max() >= model.spec.output_size:
-            raise ValueError(
-                f"labels contain class {labels.max()} but model has {model.spec.output_size} outputs"
-            )
-
-        if optimizer is None:
-            optimizer = get_optimizer(config.optimizer, learning_rate=config.learning_rate)
-
-        history = TrainingHistory()
-        start_time = time.perf_counter()
-
-        num_samples = features.shape[0]
-        val_count = _validation_count(config, num_samples)
-        # The validation permutation is drawn first, before any epoch's.
-        split = self._rng.permutation(num_samples) if val_count else np.arange(num_samples)
-        val_idx, train_idx = split[:val_count], split[val_count:]
-        encoded_labels = one_hot(labels, model.spec.output_size)
-        val_x, val_y = features[val_idx], labels[val_idx]
-
-        best_val_accuracy = -np.inf
-        epochs_without_improvement = 0
-        train_count = train_idx.shape[0]
-
-        for epoch in range(config.epochs):
-            epoch_idx = train_idx[self._rng.permutation(train_count)] if config.shuffle else train_idx
-            epoch_losses: list[float] = []
-            for start in range(0, train_count, config.batch_size):
-                batch_idx = epoch_idx[start : start + config.batch_size]
-                loss_value = model.train_step(features[batch_idx], encoded_labels[batch_idx])
-                optimizer.step(model.parameters(), model.gradients())
-                epoch_losses.append(loss_value)
-
-            history.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-            history.epochs_run = epoch + 1
-
-            if val_count:
-                val_accuracy = accuracy(model.predict(val_x), val_y)
-                history.validation_accuracy.append(val_accuracy)
-                if val_accuracy > best_val_accuracy + 1e-9:
-                    best_val_accuracy = val_accuracy
-                    epochs_without_improvement = 0
-                else:
-                    epochs_without_improvement += 1
-                if (
-                    config.early_stopping_patience > 0
-                    and epochs_without_improvement >= config.early_stopping_patience
-                ):
-                    history.stopped_early = True
-                    break
-
-        history.wall_time_seconds = time.perf_counter() - start_time
-        return history

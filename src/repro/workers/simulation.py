@@ -26,7 +26,7 @@ from functools import partial
 
 from ..hardware.device import GPUDevice, TITAN_X
 from ..hardware.gpu_model import GPUPerformanceModel
-from ..nn.evaluation import evaluate_kfold, evaluate_kfold_batch, evaluate_single_fold
+from ..nn.evaluation import _fixed_run, _score_runs_batched, evaluate_kfold_batch
 from ..nn.preprocessing import train_test_split
 from .base import EvaluationRequest, Worker, WorkerReport, register_worker
 
@@ -34,27 +34,33 @@ __all__ = ["SimulationWorker"]
 
 logger = logging.getLogger(__name__)
 
-#: A k-fold candidate whose dataset has at most this many feature elements
-#: (rows x features, 4 MB of float64) trains its folds as one stacked group;
-#: a larger one trains them fold by fold on the scalar trainer.  Stacking
-#: pays where each step's GEMMs are small: 10 folds of credit-g and phishing
-#: shapes (20-30 features) trained 1.7-2.7x faster, while full-size HAR and
-#: Bioresponse shapes (561 and 1776 features) gained 0-11% for 600-850 MB
-#: more peak memory, since a stacked chunk of 8 folds holds about two copies
-#: of each fold where the scalar loop holds three copies of one.
-_FUSED_KFOLD_MAX_ELEMENTS = 1 << 19
+#: Largest stacked group the worker trains.
+_MAX_GROUP_SIZE = 8
+
+#: Runs that build their own arrays (k-fold folds, holdout splits) stack up
+#: to :data:`_MAX_GROUP_SIZE` while the dataset has at most this many feature
+#: elements (rows x features, 4 MB of float64), and train in groups of one
+#: above it.  A stacked chunk holds about two copies of each of its runs, and
+#: stacking pays where each step's GEMMs are small: 10 folds of credit-g and
+#: phishing shapes (20-30 features) trained 1.7-2.7x faster stacked, while
+#: full-size HAR and Bioresponse shapes (561 and 1776 features) gained 0-11%
+#: for 600-850 MB more peak memory.  Runs on the shared pre-split matrix copy
+#: nothing and always stack.
+_STACKED_SPLITS_MAX_ELEMENTS = 1 << 19
 
 
 class SimulationWorker(Worker):
     """Trains candidates and models the GPU baseline.
 
-    k-fold candidates train their folds as stacked groups.  :meth:`evaluate`
-    stacks one candidate's folds when the dataset has at most ``2**19``
-    feature elements (rows x features) and trains a larger dataset's folds
-    one after another with :func:`~repro.nn.evaluation.evaluate_kfold`, the
-    scalar reference; :meth:`evaluate_batch` pools the folds of every
-    same-topology candidate in the slice.  Every path gives the scalar
-    reference's results bit for bit.
+    Every candidate trains on the stacked
+    :class:`~repro.nn.batched.BatchedTrainer` through one path,
+    :meth:`_evaluate_group`: :meth:`evaluate` is a one-request group, and
+    :meth:`evaluate_batch` groups the requests that share a dataset,
+    topology and protocol.  A group's runs (one per pre-split or holdout
+    candidate, one per fold of a k-fold candidate) train in stacked chunks;
+    the chunk size rule is in :meth:`_evaluate_group`.  Every path gives the
+    results of the scalar reference in :mod:`repro.nn.reference` bit for
+    bit.
 
     Parameters
     ----------
@@ -85,100 +91,43 @@ class SimulationWorker(Worker):
     def evaluate(self, request: EvaluationRequest) -> WorkerReport:
         """Train the candidate network and (optionally) model GPU execution.
 
-        Under the ``"10-fold"`` protocol a dataset of at most ``2**19``
-        feature elements has the candidate's folds trained as one stacked
-        group (:func:`~repro.nn.evaluation.evaluate_kfold_batch`), which
-        gives the same accuracies and errors as the fold-by-fold scalar
-        reference :func:`~repro.nn.evaluation.evaluate_kfold`; a larger
-        dataset is trained by that reference.  A single fold is trained by
-        the scalar trainer, which is faster than a one-member stacked group.
+        The one-request call of :meth:`_evaluate_group`, the path
+        :meth:`evaluate_batch` trains on: a ``"10-fold"`` candidate's folds
+        train as stacked runs, a single fold as a one-member group.  A
+        training error is reported as ``training failed: ...``.
         """
         report = WorkerReport(worker_name=self.name)
         if request.dataset is None:
             report.error = "simulation worker requires a dataset"
             return report
-
         dataset = request.dataset
         spec = request.genome.mlp.to_spec(dataset.num_features, dataset.num_classes)
         report.parameter_count = spec.parameter_count
-
-        start = time.perf_counter()
         try:
-            if request.evaluation_protocol == "10-fold":
-                if dataset.features.size <= _FUSED_KFOLD_MAX_ELEMENTS:
-                    result = evaluate_kfold_batch(
-                        spec,
-                        dataset.features,
-                        dataset.labels,
-                        num_folds=request.num_folds,
-                        training_config=request.training_config,
-                        seeds=[request.seed],
-                    )[0]
-                else:
-                    result = evaluate_kfold(
-                        spec,
-                        dataset.features,
-                        dataset.labels,
-                        num_folds=request.num_folds,
-                        training_config=request.training_config,
-                        seed=request.seed,
-                    )
-            else:
-                train_x, train_y, test_x, test_y = self._single_fold_partitions(dataset, request.seed)
-                result = evaluate_single_fold(
-                    spec,
-                    train_x,
-                    train_y,
-                    test_x,
-                    test_y,
-                    training_config=request.training_config,
-                    seed=request.seed,
-                )
+            return self._evaluate_group([request])[0]
         except Exception as exc:  # noqa: BLE001 - report, don't crash the master
             report.error = f"training failed: {exc}"
             return report
-        report.accuracy = result.accuracy
-        report.accuracy_std = result.accuracy_std
-        report.train_seconds = time.perf_counter() - start
-        report.extras["fold_accuracies"] = list(result.fold_accuracies)
 
-        if self.measure_gpu:
-            try:
-                model = GPUPerformanceModel(self.gpu)
-                report.gpu_metrics = model.evaluate(spec, batch_size=request.genome.gpu_batch_size)
-            except Exception as exc:  # noqa: BLE001
-                report.error = f"GPU model failed: {exc}"
-        return report
-
-    def _single_fold_partitions(self, dataset, seed):
-        """Return (train_x, train_y, test_x, test_y) for single-fold evaluation."""
-        if dataset.has_test_split:
-            return dataset.features, dataset.labels, dataset.test_features, dataset.test_labels
+    def _holdout_run(self, dataset, seed):
+        """A batched run over the seed's holdout split of a dataset without a test split."""
         train_x, test_x, train_y, test_y = train_test_split(
             dataset.features, dataset.labels, test_fraction=self.holdout_fraction, seed=seed
         )
-        return train_x, train_y, test_x, test_y
-
-    def _holdout_run(self, dataset, seed):
-        """A batched run over the seed's holdout split."""
-        return (*self._single_fold_partitions(dataset, seed), seed)
+        return train_x, train_y, test_x, test_y, seed
 
     # ---------------------------------------------------------------- batch
     def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[WorkerReport]:
         """Train a whole population slice with fused GEMM batches.
 
         Requests are grouped by (dataset, topology, protocol); each group is
-        trained through the batched evaluation path, which is bit-identical
-        to per-request :meth:`evaluate` at the same seeds.  Preprocessing
-        that does not depend on the candidate (the pre-split scaler fit and
-        transform) is done once per dataset via
-        :func:`~repro.datasets.prepared.prepare_dataset`.  Any group that
-        fails the fused path is redone request by request with
-        :meth:`evaluate`, so error reports match the single-request path,
-        and logs one warning: the fallback costs only speed, so it would
-        otherwise hide a fused-path bug.  That retry is not always scalar:
-        :meth:`evaluate` still stacks the folds of a small k-fold dataset,
-        one candidate at a time.
+        trained by :meth:`_evaluate_group`, the path :meth:`evaluate` takes
+        for one request, so results are bit-identical to per-request
+        :meth:`evaluate` at the same seeds.  Any group that fails is redone
+        request by request with :meth:`evaluate`, so error reports match the
+        single-request path, and logs one warning: the retry costs only
+        speed, so it would otherwise hide a bug that only a larger group
+        hits.
         """
         reports: list[WorkerReport | None] = [None] * len(requests)
         groups: dict[tuple, list[int]] = {}
@@ -217,14 +166,25 @@ class SimulationWorker(Worker):
         return reports  # type: ignore[return-value]
 
     def _evaluate_group(self, requests: list[EvaluationRequest]) -> list[WorkerReport]:
-        """Fused evaluation of same-(dataset, spec, protocol) requests."""
+        """Train same-(dataset, spec, protocol) requests as stacked runs.
+
+        The worker's one training path.  Group sizes follow one rule: runs
+        that build their own arrays (k-fold folds, holdout splits) stack up
+        to ``_MAX_GROUP_SIZE`` at or below ``_STACKED_SPLITS_MAX_ELEMENTS``
+        feature elements and train one at a time above it; runs on the
+        shared pre-split matrix always stack up to ``_MAX_GROUP_SIZE``.
+        """
         from ..datasets.prepared import prepare_dataset
-        from ..nn.evaluation import _fixed_run, _score_runs_batched
 
         template = requests[0]
         dataset = template.dataset
         spec = template.genome.mlp.to_spec(dataset.num_features, dataset.num_classes)
         seeds = [request.seed for request in requests]
+        shared_matrix = template.evaluation_protocol != "10-fold" and dataset.has_test_split
+        if shared_matrix or dataset.features.size <= _STACKED_SPLITS_MAX_ELEMENTS:
+            max_group_size = _MAX_GROUP_SIZE
+        else:
+            max_group_size = 1
 
         start = time.perf_counter()
         if template.evaluation_protocol == "10-fold":
@@ -235,29 +195,32 @@ class SimulationWorker(Worker):
                 num_folds=template.num_folds,
                 training_config=template.training_config,
                 seeds=seeds,
+                max_group_size=max_group_size,
             )
             scored = [(result.accuracy, result.accuracy_std, result.fold_accuracies) for result in results]
-        elif dataset.has_test_split:
-            # Candidate-independent preprocessing, done once per dataset per
-            # process: the scaler is fitted on the full train split exactly as
-            # _train_and_score would, so standardize=False below is bit-safe.
-            prepared = prepare_dataset(dataset)
-            split = (
-                prepared.standardized_features,
-                dataset.labels,
-                prepared.standardized_test_features,
-                dataset.test_labels,
-            )
-            runs = [(None, partial(_fixed_run, split, seed)) for seed in seeds]
-            outcomes = _score_runs_batched(
-                spec, runs, template.training_config, standardize=False, max_group_size=8
-            )
-            scored = [(score, 0.0, [score]) for score, _history in outcomes]
         else:
-            # Every holdout split of one dataset has the same shape.
-            runs = [(None, partial(self._holdout_run, dataset, seed)) for seed in seeds]
+            if shared_matrix:
+                # Candidate-independent preprocessing, done once per dataset
+                # per process: the scaler is fitted on the full train split
+                # exactly as a per-run fit would be, so standardize=False
+                # below is bit-safe.
+                prepared = prepare_dataset(dataset)
+                split = (
+                    prepared.standardized_features,
+                    dataset.labels,
+                    prepared.standardized_test_features,
+                    dataset.test_labels,
+                )
+                runs = [(None, partial(_fixed_run, split, seed)) for seed in seeds]
+            else:
+                # Every holdout split of one dataset has the same shape.
+                runs = [(None, partial(self._holdout_run, dataset, seed)) for seed in seeds]
             outcomes = _score_runs_batched(
-                spec, runs, template.training_config, standardize=True, max_group_size=8
+                spec,
+                runs,
+                template.training_config,
+                standardize=not shared_matrix,
+                max_group_size=max_group_size,
             )
             scored = [(score, 0.0, [score]) for score, _history in outcomes]
         per_request_seconds = (time.perf_counter() - start) / len(requests)

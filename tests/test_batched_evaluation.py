@@ -26,7 +26,8 @@ from repro.datasets.synthetic import SyntheticSpec, make_classification
 from repro.hardware.device import ARRIA10_GX1150, TITAN_X
 from repro.hardware.systolic import GridConfig
 from repro.nn import batched as nn_batched
-from repro.nn.evaluation import evaluate_kfold
+from repro.nn import reference
+from repro.nn.preprocessing import train_test_split
 from repro.nn.training import TrainingConfig
 from repro.service.runtime import SharedBackend
 from repro.workers.backends import (
@@ -157,23 +158,135 @@ class TestSimulationWorkerBatch:
         assert sorted(calls) == [1, 1, 3]
 
 
-class TestSimulationWorkerKFoldMatchesScalarReference:
-    """``evaluate`` trains a k-fold candidate's folds as one stacked group.
+#: Every route of ``SimulationWorker._evaluate_group``: the pre-split shared
+#: matrix, a holdout split and k-fold folds, each also above the dataset-size
+#: cap, where split-building runs train in groups of one and pre-split runs
+#: still stack.
+WORKER_ROUTES = [
+    "pre-split",
+    "pre-split-above-cap",
+    "holdout",
+    "holdout-above-cap",
+    "k-fold",
+    "k-fold-above-cap",
+]
 
-    These compare it against :func:`evaluate_kfold`, the fold-by-fold scalar
-    trainer, rather than against another fused path.
+#: Early stopping on, so the compared figures include stopped runs.
+ROUTE_TRAINING = TrainingConfig(
+    epochs=8, batch_size=16, learning_rate=0.05, early_stopping_patience=2, validation_fraction=0.15
+)
+
+
+def _spy_group_sizes(monkeypatch) -> list[int]:
+    """Record the size of every stacked group the batched trainer trains."""
+    group_sizes: list[int] = []
+    original = nn_batched.train_and_score_batch
+
+    def spying(spec, train_xs, *args, **kwargs):
+        group_sizes.append(len(train_xs))
+        return original(spec, train_xs, *args, **kwargs)
+
+    monkeypatch.setattr(nn_batched, "train_and_score_batch", spying)
+    return group_sizes
+
+
+class TestSimulationWorkerMatchesScalarReference:
+    """Every worker route gives the figures of the scalar reference.
+
+    The reference is the one-model trainer of :mod:`repro.nn.reference`,
+    which the worker never runs, so these compare the stacked path against
+    an independent loop rather than against another fused path.
     """
 
     @staticmethod
-    def _kfold_request(genome, dataset, training_config, num_folds):
+    def _kfold_request(genome, dataset, training_config, num_folds, seed=11):
         return EvaluationRequest(
             genome=genome,
             dataset=dataset,
             evaluation_protocol="10-fold",
             num_folds=num_folds,
             training_config=training_config,
-            seed=11,
+            seed=seed,
         )
+
+    @staticmethod
+    def _reference(route, spec, dataset, request):
+        if route.startswith("k-fold"):
+            return reference.evaluate_kfold(
+                spec,
+                dataset.features,
+                dataset.labels,
+                num_folds=request.num_folds,
+                training_config=request.training_config,
+                seed=request.seed,
+            )
+        if route.startswith("pre-split"):
+            split = (dataset.features, dataset.labels, dataset.test_features, dataset.test_labels)
+        else:
+            train_x, test_x, train_y, test_y = train_test_split(
+                dataset.features, dataset.labels, test_fraction=0.25, seed=request.seed
+            )
+            split = (train_x, train_y, test_x, test_y)
+        return reference.evaluate_single_fold(
+            spec, *split, training_config=request.training_config, seed=request.seed
+        )
+
+    @pytest.mark.parametrize("batch", [1, 3], ids=["evaluate", "evaluate_batch-3"])
+    @pytest.mark.parametrize("route", WORKER_ROUTES)
+    def test_every_route_matches_the_reference(self, monkeypatch, small_grid, route, batch):
+        from repro.workers import simulation
+
+        dataset = make_classification(
+            SyntheticSpec(
+                name="route",
+                num_features=9,
+                num_classes=3,
+                num_samples=88,
+                num_test_samples=40 if route.startswith("pre-split") else 0,
+            ),
+            seed=5,
+        )
+        if route.endswith("above-cap"):
+            monkeypatch.setattr(
+                simulation, "_STACKED_SPLITS_MAX_ELEMENTS", dataset.features.size - 1
+            )
+        kfold = route.startswith("k-fold")
+        genome = CoDesignGenome(
+            mlp=MLPGenome(hidden_layers=(16, 8), activations=("sigmoid", "elu")),
+            hardware=HardwareGenome(grid=small_grid, batch_size=256),
+            gpu_batch_size=128,
+        )
+        requests = [
+            EvaluationRequest(
+                genome=genome,
+                dataset=dataset,
+                evaluation_protocol="10-fold" if kfold else "1-fold",
+                num_folds=4,
+                training_config=ROUTE_TRAINING,
+                seed=11 + index,
+            )
+            for index in range(batch)
+        ]
+        group_sizes = _spy_group_sizes(monkeypatch)
+        worker = SimulationWorker(gpu=None, measure_gpu=False)
+        if batch == 1:
+            reports = [worker.evaluate(requests[0])]
+        else:
+            reports = worker.evaluate_batch(requests)
+
+        # 88 rows make four equal folds, so a candidate's folds share a shape.
+        runs = batch * (4 if kfold else 1)
+        if route in ("holdout-above-cap", "k-fold-above-cap"):
+            assert group_sizes == [1] * runs
+        else:
+            assert group_sizes == ([runs] if runs <= 8 else [8, runs - 8])
+        spec = genome.mlp.to_spec(dataset.num_features, dataset.num_classes)
+        for report, request in zip(reports, requests):
+            expected = self._reference(route, spec, dataset, request)
+            assert not report.failed
+            assert report.accuracy == expected.accuracy
+            assert report.accuracy_std == expected.accuracy_std
+            assert report.extras["fold_accuracies"] == expected.fold_accuracies
 
     @pytest.mark.parametrize(
         ("num_samples", "num_folds", "stacked_groups"),
@@ -192,20 +305,13 @@ class TestSimulationWorkerKFoldMatchesScalarReference:
             hardware=HardwareGenome(grid=small_grid, batch_size=256),
             gpu_batch_size=128,
         )
-        group_sizes = []
-        original = nn_batched.train_and_score_batch
-
-        def spying(spec, train_xs, *args, **kwargs):
-            group_sizes.append(len(train_xs))
-            return original(spec, train_xs, *args, **kwargs)
-
-        monkeypatch.setattr(nn_batched, "train_and_score_batch", spying)
+        group_sizes = _spy_group_sizes(monkeypatch)
         report = SimulationWorker(gpu=None, measure_gpu=False).evaluate(
             self._kfold_request(genome, dataset, fast_training_config, num_folds)
         )
         assert group_sizes == stacked_groups
 
-        reference = evaluate_kfold(
+        expected = reference.evaluate_kfold(
             genome.mlp.to_spec(dataset.num_features, dataset.num_classes),
             dataset.features,
             dataset.labels,
@@ -214,34 +320,27 @@ class TestSimulationWorkerKFoldMatchesScalarReference:
             seed=11,
         )
         assert not report.failed
-        assert report.accuracy == reference.accuracy
-        assert report.accuracy_std == reference.accuracy_std
-        assert report.extras["fold_accuracies"] == reference.fold_accuracies
+        assert report.accuracy == expected.accuracy
+        assert report.accuracy_std == expected.accuracy_std
+        assert report.extras["fold_accuracies"] == expected.fold_accuracies
         assert len(report.extras["fold_accuracies"]) == num_folds
 
     def test_large_dataset_trains_fold_by_fold(self, monkeypatch, small_grid, fast_training_config):
-        # Above the size cap the worker runs the scalar reference itself:
-        # no stacked group is trained and the figures are its figures.
+        # Above the size cap every fold trains as a group of one, through
+        # evaluate and through evaluate_batch alike, so a batch holds one
+        # fold's arrays at a time.
         from repro.workers import simulation
 
         dataset = make_classification(
             SyntheticSpec(name="kfold", num_features=9, num_classes=3, num_samples=60), seed=6
         )
-        monkeypatch.setattr(simulation, "_FUSED_KFOLD_MAX_ELEMENTS", dataset.features.size - 1)
-        group_sizes = []
-        original = nn_batched.train_and_score_batch
-
-        def spying(spec, train_xs, *args, **kwargs):
-            group_sizes.append(len(train_xs))
-            return original(spec, train_xs, *args, **kwargs)
-
-        monkeypatch.setattr(nn_batched, "train_and_score_batch", spying)
+        monkeypatch.setattr(simulation, "_STACKED_SPLITS_MAX_ELEMENTS", dataset.features.size - 1)
+        group_sizes = _spy_group_sizes(monkeypatch)
         genome = _genomes(small_grid)[0]
-        report = SimulationWorker(gpu=None, measure_gpu=False).evaluate(
-            self._kfold_request(genome, dataset, fast_training_config, num_folds=4)
-        )
-        assert group_sizes == []
-        reference = evaluate_kfold(
+        worker = SimulationWorker(gpu=None, measure_gpu=False)
+        report = worker.evaluate(self._kfold_request(genome, dataset, fast_training_config, num_folds=4))
+        assert group_sizes == [1] * 4
+        expected = reference.evaluate_kfold(
             genome.mlp.to_spec(dataset.num_features, dataset.num_classes),
             dataset.features,
             dataset.labels,
@@ -250,8 +349,21 @@ class TestSimulationWorkerKFoldMatchesScalarReference:
             seed=11,
         )
         assert not report.failed
-        assert report.accuracy == reference.accuracy
-        assert report.extras["fold_accuracies"] == reference.fold_accuracies
+        assert report.accuracy == expected.accuracy
+        assert report.extras["fold_accuracies"] == expected.fold_accuracies
+
+        # Two same-topology requests form one group; its 8 folds still
+        # train one at a time.
+        group_sizes.clear()
+        batched = worker.evaluate_batch(
+            [
+                self._kfold_request(genome, dataset, fast_training_config, num_folds=4, seed=seed)
+                for seed in (11, 12)
+            ]
+        )
+        assert group_sizes == [1] * 8
+        assert batched[0].extras["fold_accuracies"] == expected.fold_accuracies
+        assert not batched[1].failed
 
     def test_too_few_samples_reports_the_scalar_error(self, small_grid, fast_training_config):
         dataset = Dataset(name="two", features=[[0.0, 1.0], [1.0, 0.0]], labels=[0, 1])
@@ -281,7 +393,7 @@ class TestSimulationWorkerKFoldMatchesScalarReference:
         config = TrainingConfig(epochs=1, optimizer="nesterov", validation_fraction=0.0)
         genome = _genomes(small_grid)[0]
         with pytest.raises(ValueError) as scalar_error:
-            evaluate_kfold(
+            reference.evaluate_kfold(
                 genome.mlp.to_spec(tiny_dataset.num_features, tiny_dataset.num_classes),
                 tiny_dataset.features,
                 tiny_dataset.labels,
@@ -339,9 +451,13 @@ class TestFusedFallbackIsLogged:
         genomes = _genomes(small_grid)
         # Three requests of one topology: a single fused group.
         requests = _requests([genomes[0], genomes[1], genomes[4]], tiny_dataset, fast_training_config)
+        working = worker._evaluate_group
 
         def broken(group):
-            raise RuntimeError("fused path broke")
+            # The per-request retry runs one-request groups, which still work.
+            if len(group) > 1:
+                raise RuntimeError("fused path broke")
+            return working(group)
 
         monkeypatch.setattr(worker, "_evaluate_group", broken)
         with caplog.at_level("WARNING", logger="repro.workers.simulation"):
@@ -352,6 +468,7 @@ class TestFusedFallbackIsLogged:
         assert "fused path broke" in records[0].getMessage()
         assert "3-request group" in records[0].getMessage()
         for batched_report, req in zip(batched, requests):
+            assert not batched_report.failed
             _assert_reports_identical(batched_report, worker.evaluate(req))
 
     def test_hardware_db_sweep_failure_warns_once(

@@ -19,16 +19,10 @@ from repro.datasets import SyntheticSpec, make_classification
 from repro.nn import MLPSpec, TrainingConfig
 from repro.nn import batched as nn_batched
 from repro.nn.batched import BatchedTrainer, train_and_score_batch
-from repro.nn.evaluation import (
-    evaluate_kfold,
-    evaluate_kfold_batch,
-    evaluate_single_fold,
-    evaluate_single_fold_batch,
-)
+from repro.nn.evaluation import evaluate_kfold_batch, evaluate_single_fold_batch
 from repro.nn.mlp import MLP
-from repro.nn.optimizers import get_optimizer
 from repro.nn.preprocessing import one_hot
-from repro.nn.training import Trainer
+from repro.nn.reference import Trainer, evaluate_kfold, evaluate_single_fold, get_optimizer
 
 
 def _dataset(seed: int = 0, samples: int = 160, features: int = 12, classes: int = 3):

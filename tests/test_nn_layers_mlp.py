@@ -150,7 +150,7 @@ class TestMLP:
         model = MLP(small_mlp_spec, seed=3)
         x = rng.normal(size=(32, 12))
         y = one_hot((rng.random(32) > 0.5).astype(int), 2)
-        from repro.nn.optimizers import Adam
+        from repro.nn.reference import Adam
 
         optimizer = Adam(learning_rate=0.01)
         first_loss = model.train_step(x, y)

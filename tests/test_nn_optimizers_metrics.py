@@ -1,4 +1,4 @@
-"""Unit tests for repro.nn.optimizers and repro.nn.metrics."""
+"""Unit tests for the reference optimizers (repro.nn.reference) and repro.nn.metrics."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.nn.metrics import (
     precision_recall_f1,
     top_k_accuracy,
 )
-from repro.nn.optimizers import SGD, Adam, MomentumSGD, RMSProp, available_optimizers, get_optimizer
+from repro.nn.reference import SGD, Adam, MomentumSGD, RMSProp, available_optimizers, get_optimizer
 
 
 def quadratic_loss_and_grad(params: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:

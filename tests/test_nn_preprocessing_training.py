@@ -1,11 +1,11 @@
-"""Unit tests for repro.nn.preprocessing, repro.nn.training and repro.nn.evaluation."""
+"""Unit tests for repro.nn.preprocessing, repro.nn.evaluation and the reference trainer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn.evaluation import evaluate_kfold, evaluate_single_fold, kfold_indices
+from repro.nn.evaluation import kfold_indices
 from repro.nn.mlp import MLP, MLPSpec
 from repro.nn.preprocessing import (
     MinMaxScaler,
@@ -14,7 +14,8 @@ from repro.nn.preprocessing import (
     one_hot,
     train_test_split,
 )
-from repro.nn.training import Trainer, TrainingConfig
+from repro.nn.reference import Trainer, evaluate_kfold, evaluate_single_fold
+from repro.nn.training import TrainingConfig
 
 
 class TestScalers:

@@ -15,7 +15,7 @@ from repro.datasets.registry import load_dataset
 from repro.hardware.device import ARRIA10_GX1150, STRATIX10_2800, TITAN_X
 from repro.hardware.memory import DDR4_BANK, MemorySystem
 from repro.hardware.systolic import GridConfig
-from repro.nn.evaluation import evaluate_single_fold
+from repro.nn.reference import evaluate_single_fold
 from repro.nn.training import TrainingConfig
 from repro.workers import backends
 from repro.workers.backends import (
