@@ -333,69 +333,96 @@ class ChunkEvaluator:
         Reservations are taken in cache-key order, so two chunks holding the
         same genomes can never wait on each other.
 
-        The fresh genomes go to the evaluator's ``evaluate_batch`` when it has
-        one and there is more than one of them, otherwise one call each.  An
-        evaluator exception fails every fresh genome of the chunk.  Each fresh
-        result is published under its own key with the chunk's wall clock
-        split evenly, so cache and store see what per-candidate dispatch
-        would have produced.
+        Failures are never cached, so a repeat of a genome whose evaluation
+        failed (in this chunk or in another chunk it waited on) is evaluated
+        again in a further round, exactly as it would be had it been
+        dispatched in a later chunk: the counters do not depend on the chunk
+        size.
+
+        The fresh genomes of a round go to the evaluator's ``evaluate_batch``
+        when it has one and there is more than one of them, otherwise one
+        call each.  An evaluator exception fails every fresh genome of the
+        round.  Each fresh result is published under its own key with the
+        round's wall clock split evenly, so cache and store see what
+        per-candidate dispatch would have produced.
         """
         keys = [genome.cache_key() for genome in genomes]
         results: list[CandidateEvaluation | None] = [None] * len(genomes)
-        first: dict[str, int] = {}
-        repeats: list[tuple[int, int]] = []
-        fresh: list[int] = []
+        pending = sorted(range(len(genomes)), key=keys.__getitem__)
+        evaluated = 0
         elapsed = 0.0
-        try:
-            for index in sorted(range(len(genomes)), key=keys.__getitem__):
-                key = keys[index]
-                if key in first:
-                    repeats.append((index, first[key]))
-                    continue
-                first[key] = index
-                cached, owner = self.cache.lookup_or_reserve(genomes[index])
-                if owner:
-                    fresh.append(index)
-                else:
-                    results[index] = cached
-            fresh.sort()
-            fresh_genomes = [genomes[index] for index in fresh]
-            if fresh_genomes:
-                start = time.perf_counter()
-                try:
-                    batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
-                    if batch_evaluate is not None and len(fresh_genomes) > 1:
-                        evaluations = list(batch_evaluate(fresh_genomes))
+        while pending:
+            first: dict[str, int] = {}
+            repeats: list[tuple[int, int]] = []
+            retry: list[int] = []
+            fresh: list[int] = []
+            try:
+                for index in pending:
+                    key = keys[index]
+                    if key in first:
+                        repeats.append((index, first[key]))
+                        continue
+                    first[key] = index
+                    cached, owner = self.cache.lookup_or_reserve(genomes[index])
+                    if owner:
+                        fresh.append(index)
+                    elif cached.failed:
+                        retry.append(index)
                     else:
-                        evaluations = [self.evaluator(genome) for genome in fresh_genomes]
-                    if len(evaluations) != len(fresh_genomes):
-                        raise SearchError(
-                            "batch evaluator returned "
-                            f"{len(evaluations)} evaluations for {len(fresh_genomes)} genomes"
-                        )
-                except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
-                    evaluations = [
-                        CandidateEvaluation(genome=genome, error=str(exc))
-                        for genome in fresh_genomes
-                    ]
-                elapsed = time.perf_counter() - start
-                for index, evaluation in zip(fresh, evaluations):
-                    evaluation = self._stamp_elapsed(evaluation, elapsed / len(fresh))
-                    self.cache.complete(genomes[index], evaluation)
-                    results[index] = evaluation
-        except BaseException:
-            # Release every reservation this chunk still holds; waiters retry.
-            for index in fresh:
-                if results[index] is None:
-                    self.cache.abandon(genomes[index])
-            raise
-        for index, source in repeats:
-            results[index] = results[source].as_cache_copy()
+                        results[index] = cached
+                fresh.sort()
+                elapsed += self._evaluate_fresh(genomes, fresh, results)
+            except BaseException:
+                # Release every reservation this round still holds; waiters retry.
+                for index in fresh:
+                    if results[index] is None:
+                        self.cache.abandon(genomes[index])
+                raise
+            for index, source in repeats:
+                if results[source] is None or results[source].failed:
+                    retry.append(index)
+                else:
+                    results[index] = results[source].as_cache_copy()
+            evaluated += len(fresh)
+            pending = sorted(retry, key=lambda index: (keys[index], index))
         with self._stats_lock:
-            self.statistics.models_evaluated += len(fresh)
-            self.statistics.cache_hits += len(genomes) - len(fresh)
+            self.statistics.models_evaluated += evaluated
+            self.statistics.cache_hits += len(genomes) - evaluated
             self.statistics.total_evaluation_seconds += elapsed
         return results  # type: ignore[return-value]
+
+    def _evaluate_fresh(
+        self,
+        genomes: list[CoDesignGenome],
+        fresh: list[int],
+        results: list[CandidateEvaluation | None],
+    ) -> float:
+        """Evaluate the reserved genomes at ``fresh``, publish them, return the wall clock."""
+        if not fresh:
+            return 0.0
+        fresh_genomes = [genomes[index] for index in fresh]
+        start = time.perf_counter()
+        try:
+            batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
+            if batch_evaluate is not None and len(fresh_genomes) > 1:
+                evaluations = list(batch_evaluate(fresh_genomes))
+            else:
+                evaluations = [self.evaluator(genome) for genome in fresh_genomes]
+            if len(evaluations) != len(fresh_genomes):
+                raise SearchError(
+                    "batch evaluator returned "
+                    f"{len(evaluations)} evaluations for {len(fresh_genomes)} genomes"
+                )
+        except Exception as exc:  # noqa: BLE001 - worker failures must not kill the search
+            evaluations = [
+                CandidateEvaluation(genome=genome, error=str(exc)) for genome in fresh_genomes
+            ]
+        elapsed = time.perf_counter() - start
+        for index, evaluation in zip(fresh, evaluations):
+            evaluation = self._stamp_elapsed(evaluation, elapsed / len(fresh))
+            self.cache.complete(genomes[index], evaluation)
+            results[index] = evaluation
+        return elapsed
 
     @staticmethod
     def _stamp_elapsed(evaluation: CandidateEvaluation, elapsed: float) -> CandidateEvaluation:

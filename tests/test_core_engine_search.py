@@ -924,8 +924,9 @@ class TestRandomSearchWindow:
         assert all("injected failure" in e.error for e in failed)
         assert 0 <= result.best_accuracy <= 1
 
-    def test_failed_genomes_are_evaluated_again_through_a_real_master(self):
-        """Failures are never cached, so a repeat of a failed genome is no cache hit."""
+    @staticmethod
+    def _run_tanh_fails(**window):
+        """40 draws over six genomes through a serial Master; tanh genomes fail."""
         from repro.workers.base import Worker, WorkerReport
         from repro.workers.master import Master
 
@@ -949,11 +950,16 @@ class TestRandomSearchWindow:
         master = Master(workers=[worker], backend="serial")
         try:
             result = RandomSearch(
-                space=_six_genome_space(), evaluator=master, max_evaluations=40, seed=0
+                space=_six_genome_space(), evaluator=master, max_evaluations=40, seed=0, **window
             ).run()
         finally:
             master.shutdown()
+        return result, worker.calls
 
+    @pytest.mark.parametrize("eval_batch_size", [1, 4])
+    def test_failed_genomes_are_evaluated_again_through_a_real_master(self, eval_batch_size):
+        """Failures are never cached, so a repeat of a failed genome is no cache hit."""
+        result, calls = self._run_tanh_fails(eval_batch_size=eval_batch_size)
         stats = result.statistics
         draws = result.history.evaluations()
         successful = [e.genome.cache_key() for e in draws if not e.failed]
@@ -962,4 +968,16 @@ class TestRandomSearchWindow:
         assert len(draws) - len(successful) > len({e.genome.cache_key() for e in draws if e.failed})
         assert stats.models_evaluated + stats.cache_hits == stats.models_generated == 40
         assert stats.models_evaluated == len(draws) - (len(successful) - len(set(successful)))
-        assert worker.calls == stats.models_evaluated
+        assert calls == stats.models_evaluated
+
+    @pytest.mark.parametrize("window", [{"eval_batch_size": 4}, {"eval_batch_size": 3, "eval_parallelism": 2}])
+    def test_failed_repeat_counters_do_not_depend_on_the_chunk_size(self, window):
+        serial, serial_calls = self._run_tanh_fails()
+        chunked, chunked_calls = self._run_tanh_fails(**window)
+        assert (serial.statistics.models_evaluated, serial.statistics.cache_hits) == (27, 13)
+        assert chunked.statistics.models_evaluated == serial.statistics.models_evaluated
+        assert chunked.statistics.cache_hits == serial.statistics.cache_hits
+        assert chunked_calls == serial_calls == 27
+        assert [e.failed for e in chunked.history.evaluations()] == [
+            e.failed for e in serial.history.evaluations()
+        ]
