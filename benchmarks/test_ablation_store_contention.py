@@ -128,7 +128,7 @@ def _contended_writer(path, worker, barrier, queue):
             now = time.time()
             time.sleep((EPOCH_SECONDS - now % EPOCH_SECONDS) % EPOCH_SECONDS)
             start = time.perf_counter()
-            cache.store(evaluation)  # write_batch_size=1 -> flushes inline
+            cache.complete(evaluation.genome, evaluation)  # write_batch_size=1 -> flushes inline
             elapsed = time.perf_counter() - start
             if epoch >= WARMUP_EPOCHS:
                 stalls[thread].append(elapsed)

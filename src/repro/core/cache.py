@@ -100,11 +100,13 @@ class EvaluationCache:
 
     # --------------------------------------------------------------- lookups
     def lookup(self, genome: CoDesignGenome) -> CandidateEvaluation | None:
-        """Return the cached evaluation for ``genome`` or ``None`` on a miss.
+        """Return the in-memory evaluation for ``genome`` or ``None`` on a miss.
 
         Cache hits are returned as copies flagged ``from_cache=True`` so the
         run-time statistics can distinguish them from fresh evaluations, and
-        refresh the entry's recency (true LRU).
+        refresh the entry's recency (true LRU).  This peeks at the memory
+        tier only: searches resolve through :meth:`lookup_or_reserve`, which
+        is also the one entry point a store-backed cache reads through.
         """
         key = genome.cache_key()
         with self._lock:
@@ -181,16 +183,6 @@ class EvaluationCache:
         """Number of genomes currently reserved for evaluation."""
         with self._lock:
             return len(self._in_flight)
-
-    # ---------------------------------------------------------------- stores
-    def store(self, evaluation: CandidateEvaluation) -> None:
-        """Insert (or refresh) the evaluation of one candidate.
-
-        Failed evaluations are not cached: a transient failure should not
-        permanently poison a genome.
-        """
-        with self._lock:
-            self._store_locked(evaluation.genome.cache_key(), evaluation)
 
     def _store_locked(self, key: str, evaluation: CandidateEvaluation) -> None:
         if evaluation.failed:

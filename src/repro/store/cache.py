@@ -7,11 +7,11 @@ whose fresh results are queued for batched persistence (write-behind).  The
 evaluation pipeline every search runs on talks to the familiar cache
 interface and gets durability for free:
 
-* ``lookup`` / ``lookup_or_reserve`` — in-memory first; on a miss the store
-  is consulted and a hit is promoted into the memory tier (and served with
+* ``lookup_or_reserve`` — in-memory first; on a miss the store is
+  consulted and a hit is promoted into the memory tier (and served with
   ``from_cache=True``, exactly like a warm in-memory hit).
-* ``store`` / ``complete`` — publish to the memory tier immediately, then
-  enqueue the row; the queue is flushed every ``write_batch_size`` entries
+* ``complete`` — publish to the memory tier immediately, then enqueue the
+  row; the queue is flushed every ``write_batch_size`` entries
   and on :meth:`flush`.  A failing store never fails the search — but it
   must not *lose* rows either: a flush that hits a transient
   :class:`~repro.core.errors.StoreError` (e.g. ``database is locked`` past
@@ -110,18 +110,6 @@ class StoreBackedCache(EvaluationCache):
         self._auto_flush_not_before = 0.0
 
     # ------------------------------------------------------------- lookups
-    def lookup(self, genome: CoDesignGenome) -> CandidateEvaluation | None:
-        """In-memory lookup with read-through to the persistent store."""
-        hit = super().lookup(genome)
-        if hit is not None:
-            return hit
-        stored = self._load(genome)
-        if stored is None:
-            return None
-        # Promote into the memory tier so repeats stay off the disk path.
-        super().store(stored)
-        return stored.as_cache_copy()
-
     def lookup_or_reserve(self, genome: CoDesignGenome) -> tuple[CandidateEvaluation | None, bool]:
         """Single-flight lookup with read-through to the persistent store.
 
@@ -167,11 +155,6 @@ class StoreBackedCache(EvaluationCache):
             )
         if should_flush:
             self.flush()
-
-    def store(self, evaluation: CandidateEvaluation) -> None:
-        """Publish to the memory tier and queue the write-behind row."""
-        super().store(evaluation)
-        self.store_evaluation_result(evaluation)
 
     def complete(self, genome: CoDesignGenome, evaluation: CandidateEvaluation) -> None:
         """Publish an owned evaluation and queue the write-behind row."""

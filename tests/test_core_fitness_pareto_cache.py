@@ -41,6 +41,11 @@ from repro.hardware.systolic import GridConfig
 from tests.conftest import make_fake_evaluation
 
 
+def _publish(cache: EvaluationCache, evaluation: CandidateEvaluation) -> None:
+    """Publish one evaluation the way the search does: ``complete`` under its genome."""
+    cache.complete(evaluation.genome, evaluation)
+
+
 def _genome(neurons: int = 16, rows: int = 4) -> CoDesignGenome:
     return CoDesignGenome(
         mlp=MLPGenome(hidden_layers=(neurons,), activations=("relu",)),
@@ -202,7 +207,7 @@ class TestEvaluationCache:
         cache = EvaluationCache()
         genome = _genome(8)
         assert cache.lookup(genome) is None
-        cache.store(make_fake_evaluation(genome, accuracy=0.8))
+        _publish(cache, make_fake_evaluation(genome, accuracy=0.8))
         hit = cache.lookup(genome)
         assert hit is not None
         assert hit.from_cache
@@ -213,28 +218,28 @@ class TestEvaluationCache:
 
     def test_identical_parameters_share_an_entry(self):
         cache = EvaluationCache()
-        cache.store(make_fake_evaluation(_genome(8), accuracy=0.8))
+        _publish(cache, make_fake_evaluation(_genome(8), accuracy=0.8))
         equivalent = _genome(8)
         assert equivalent in cache
         assert len(cache) == 1
 
     def test_failed_evaluations_not_cached(self):
         cache = EvaluationCache()
-        cache.store(CandidateEvaluation(genome=_genome(8), error="boom"))
+        _publish(cache, CandidateEvaluation(genome=_genome(8), error="boom"))
         assert len(cache) == 0
 
     def test_capacity_bound_evicts_oldest(self):
         cache = EvaluationCache(max_entries=2)
         first, second, third = _genome(8), _genome(16), _genome(32)
         for genome in (first, second, third):
-            cache.store(make_fake_evaluation(genome, accuracy=0.5))
+            _publish(cache, make_fake_evaluation(genome, accuracy=0.5))
         assert len(cache) == 2
         assert first not in cache
         assert second in cache and third in cache
 
     def test_clear_resets_everything(self):
         cache = EvaluationCache()
-        cache.store(make_fake_evaluation(_genome(8), accuracy=0.5))
+        _publish(cache, make_fake_evaluation(_genome(8), accuracy=0.5))
         cache.lookup(_genome(8))
         cache.clear()
         assert len(cache) == 0
@@ -248,11 +253,11 @@ class TestEvaluationCache:
         """Regression: eviction must be least-recently-USED, not oldest-inserted."""
         cache = EvaluationCache(max_entries=2)
         first, second, third = _genome(8), _genome(16), _genome(32)
-        cache.store(make_fake_evaluation(first, accuracy=0.5))
-        cache.store(make_fake_evaluation(second, accuracy=0.5))
+        _publish(cache, make_fake_evaluation(first, accuracy=0.5))
+        _publish(cache, make_fake_evaluation(second, accuracy=0.5))
         # Touch the older entry, making `second` the least recently used...
         assert cache.lookup(first) is not None
-        cache.store(make_fake_evaluation(third, accuracy=0.5))
+        _publish(cache, make_fake_evaluation(third, accuracy=0.5))
         # ...so inserting a third entry evicts `second`, not `first`.
         assert first in cache
         assert second not in cache
@@ -261,10 +266,10 @@ class TestEvaluationCache:
     def test_lru_store_refreshes_recency_too(self):
         cache = EvaluationCache(max_entries=2)
         first, second, third = _genome(8), _genome(16), _genome(32)
-        cache.store(make_fake_evaluation(first, accuracy=0.5))
-        cache.store(make_fake_evaluation(second, accuracy=0.5))
-        cache.store(make_fake_evaluation(first, accuracy=0.6))  # refresh
-        cache.store(make_fake_evaluation(third, accuracy=0.5))
+        _publish(cache, make_fake_evaluation(first, accuracy=0.5))
+        _publish(cache, make_fake_evaluation(second, accuracy=0.5))
+        _publish(cache, make_fake_evaluation(first, accuracy=0.6))  # refresh
+        _publish(cache, make_fake_evaluation(third, accuracy=0.5))
         assert first in cache
         assert second not in cache
 
@@ -345,7 +350,7 @@ class TestEvaluationCacheInFlight:
     def test_cached_entry_short_circuits_reservation(self):
         cache = EvaluationCache()
         genome = _genome(8)
-        cache.store(make_fake_evaluation(genome, accuracy=0.9))
+        _publish(cache, make_fake_evaluation(genome, accuracy=0.9))
         cached, owner = cache.lookup_or_reserve(genome)
         assert not owner
         assert cached.from_cache

@@ -71,6 +71,11 @@ def make_fake_evaluation(genome, accuracy, fpga_outputs=0.0, gpu_outputs=0.0):
     )
 
 
+def _publish(cache: EvaluationCache, evaluation: CandidateEvaluation) -> None:
+    """Publish one evaluation the way the search does: ``complete`` under its genome."""
+    cache.complete(evaluation.genome, evaluation)
+
+
 def _evaluations(space: CoDesignSearchSpace, count: int, seed: int = 0):
     """Distinct fake evaluations with descending accuracy."""
     rng = np.random.default_rng(seed)
@@ -282,12 +287,12 @@ class TestStoreBackedCache:
         evaluation = _evaluations(small_search_space, 1)[0]
         store.put(PROBLEM, evaluation)
         cache = StoreBackedCache(store, PROBLEM)
-        first = cache.lookup(evaluation.genome)
-        assert first is not None and first.from_cache
+        first, owner = cache.lookup_or_reserve(evaluation.genome)
+        assert not owner and first is not None and first.from_cache
         assert cache.store_statistics.hits == 1
         # The second lookup is answered by the memory tier.
-        second = cache.lookup(evaluation.genome)
-        assert second is not None
+        second, owner = cache.lookup_or_reserve(evaluation.genome)
+        assert not owner and second is not None
         assert cache.store_statistics.hits == 1
         store.close()
 
@@ -296,11 +301,11 @@ class TestStoreBackedCache:
         cache = StoreBackedCache(store, PROBLEM, write_batch_size=3)
         evaluations = _evaluations(small_search_space, 4)
         for evaluation in evaluations[:2]:
-            cache.store(evaluation)
+            _publish(cache, evaluation)
         assert store.count() == 0  # still queued
-        cache.store(evaluations[2])
+        _publish(cache, evaluations[2])
         assert store.count() == 3  # batch threshold crossed
-        cache.store(evaluations[3])
+        _publish(cache, evaluations[3])
         assert cache.flush() == 1
         assert store.count() == 4
         assert cache.flush() == 0
@@ -337,8 +342,8 @@ class TestStoreBackedCache:
         writer.close()
         store = EvaluationStore(path, readonly=True)
         cache = StoreBackedCache(store, PROBLEM, write_batch_size=1)
-        assert cache.lookup(evaluations[0].genome) is not None
-        cache.store(evaluations[1])
+        assert cache.lookup_or_reserve(evaluations[0].genome)[0] is not None
+        _publish(cache, evaluations[1])
         assert cache.flush() == 0
         assert store.count() == 1
         store.close()
@@ -347,8 +352,8 @@ class TestStoreBackedCache:
         store = EvaluationStore(tmp_path / "store.sqlite")
         cache = StoreBackedCache(store, PROBLEM, write_batch_size=1)
         evaluation = _evaluations(small_search_space, 1)[0]
-        cache.store(CandidateEvaluation(genome=evaluation.genome, error="boom"))
-        cache.store(evaluation.as_cache_copy())
+        _publish(cache, CandidateEvaluation(genome=evaluation.genome, error="boom"))
+        _publish(cache, evaluation.as_cache_copy())
         cache.flush()
         assert store.count() == 0
         store.close()
@@ -670,7 +675,7 @@ class TestFlushRetry:
             flaky, PROBLEM, write_batch_size=1,
             write_retries=3, retry_backoff_seconds=0.0,
         )
-        cache.store(_evaluations(small_search_space, 1)[0])
+        _publish(cache, _evaluations(small_search_space, 1)[0])
         assert store.count(PROBLEM) == 1
         assert cache.store_statistics.writes == 1
         assert cache.store_statistics.write_retries == 2
@@ -689,7 +694,7 @@ class TestFlushRetry:
         )
         evaluations = _evaluations(small_search_space, 5)
         for evaluation in evaluations:
-            cache.store(evaluation)
+            _publish(cache, evaluation)
         assert cache.flush() == 0
         # The batch is re-queued, not discarded: no write_errors, no loss.
         assert cache.pending_writes() == 5
@@ -714,7 +719,7 @@ class TestFlushRetry:
         )
         evaluations = _evaluations(small_search_space, 6)
         for evaluation in evaluations:
-            cache.store(evaluation)
+            _publish(cache, evaluation)
         cache.flush()
         # Only the overflow beyond max_pending_writes is dropped (oldest
         # first); only those rows count as write_errors.
@@ -738,10 +743,10 @@ class TestFlushRetry:
             write_retries=0, retry_backoff_seconds=0.0,
         )
         evaluations = _evaluations(small_search_space, 2)
-        cache.store(evaluations[0])  # auto-flush fails once, row re-queued
+        _publish(cache, evaluations[0])  # auto-flush fails once, row re-queued
         assert cache.pending_writes() == 1
         # The cooldown suppresses the queue-triggered flush for the next row…
-        cache.store(evaluations[1])
+        _publish(cache, evaluations[1])
         assert cache.pending_writes() == 2
         assert flaky.put_calls == 1
         # …but an explicit flush (end of run) always reaches the store.
@@ -1035,7 +1040,7 @@ def _contended_cache_writer(path: str, seed: int, threads: int, rows: int) -> No
                 retry_backoff_seconds=0.005,
             )
             for evaluation in _evaluations(space, rows, seed=seed * 100 + thread_index):
-                cache.store(evaluation)
+                _publish(cache, evaluation)
             deadline = _time.monotonic() + 60.0
             while cache.pending_writes():
                 cache.flush()
