@@ -578,8 +578,7 @@ class EvolutionaryEngine:
 
             def land(genomes: list[CoDesignGenome], evaluations: list[CandidateEvaluation]) -> None:
                 for genome, evaluation in zip(genomes, evaluations):
-                    population.add(self._wrap_landed(genome, evaluation, step, population))
-                    self._rescore(population)
+                    self._admit(population, self._wrap_landed(genome, evaluation, step, population))
                     end_step()
 
             in_flight: dict[Future, list[CoDesignGenome]] = {}
@@ -731,8 +730,7 @@ class EvolutionaryEngine:
         self.statistics.models_generated += len(genomes)
         population = Population(capacity=self.config.population_size)
         for genome, evaluation in zip(genomes, self.chunks.evaluate_all(genomes, executor)):
-            population.add(self._wrap_landed(genome, evaluation, len(population), population))
-            self._rescore(population)
+            self._admit(population, self._wrap_landed(genome, evaluation, len(population), population))
         return population
 
     def _make_offspring(
@@ -762,15 +760,42 @@ class EvolutionaryEngine:
         # Give up on uniqueness and explore randomly instead.
         return self.space.random_genome(self._rng, device=self.device)
 
-    def _rescore(self, population: Population) -> None:
-        """Re-normalize fitness across the current population.
+    def _admit(self, population: Population, individual: Individual) -> None:
+        """Offer one scored newcomer to the population and rescore what it changed.
 
-        Min-max normalization is population-relative, so after every insertion
-        all members are rescored against the same reference — this keeps the
-        steady-state replacement decisions consistent.  Each member's raw
-        values and vector are carried over; only the normalization is redone.
+        Weighted-sum fitness is min-max normalized against the population's
+        running ``bounds``, so the members' fitness can only change when the
+        bounds of a min-max normalized objective move: a rejected newcomer
+        changes nobody, an admitted one that leaves those bounds where they
+        were needs only its own score (it was scored against the run's
+        history on landing), and a move of them rescores everyone.
+        Rank-encoded fitness (``population_relative``) depends on every
+        member, so it is always rescored in full.
+        """
+        if getattr(self.fitness, "population_relative", False):
+            population.add(individual)
+            self._rescore(population)
+            return
+        before = self.fitness.normalization(population.bounds)
+        if population.add(individual) is individual:
+            return
+        if self.fitness.normalization(population.bounds) != before:
+            self._rescore(population)
+            return
+        [result] = self.fitness.score_population(
+            [individual.evaluation], carried=[individual.fitness], bounds=population.bounds
+        )
+        population.rescore_member(individual, result)
+
+    def _rescore(self, population: Population) -> None:
+        """Re-normalize every member's fitness against the current population.
+
+        Each member's raw values and vector are carried over; only the
+        normalization is redone, against the population's running bounds.
         """
         results = self.fitness.score_population(
-            population.evaluations(), carried=[member.fitness for member in population]
+            population.evaluations(),
+            carried=[member.fitness for member in population],
+            bounds=population.bounds,
         )
         population.rescore(results)

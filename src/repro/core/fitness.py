@@ -170,6 +170,30 @@ class FitnessEvaluator:
             return {obj.name: float("nan") for obj in self.objectives}
         return {obj.name: obj.raw_value(evaluation) for obj in self.objectives}
 
+    def normalization(self, bounds: ObjectiveBounds) -> list[tuple[str, float, bool, float, float | None]]:
+        """Each objective's term of the weighted sum against ``bounds``.
+
+        A term is ``(name, weight, maximize, offset, divisor)``: a raw value
+        ``v`` normalizes to ``clip01((v - offset) / divisor)`` (a fixed
+        ``scale`` is the divisor, with offset 0), or to ``offset`` itself when
+        ``divisor`` is None — 0.0 while no finite value bounds the objective,
+        0.5 when its range is degenerate.  Against two bounds with equal
+        normalizations every candidate gets the same score.
+        """
+        terms = []
+        for objective in self.objectives:
+            offset, divisor = 0.0, objective.scale
+            if objective.scale <= 0:
+                low = bounds.low.get(objective.name)
+                if low is None:
+                    divisor = None
+                else:
+                    offset, divisor = low, bounds.high[objective.name] - low
+                    if divisor < 1e-12:
+                        offset, divisor = 0.5, None
+            terms.append((objective.name, objective.weight, objective.maximize, offset, divisor))
+        return terms
+
     def objective_vector(self, evaluation: CandidateEvaluation) -> ObjectiveVector:
         """The typed objective vector of one candidate (constraint-aware)."""
         return self._measure(evaluation)[1]
@@ -178,22 +202,29 @@ class FitnessEvaluator:
         self,
         evaluations: list[CandidateEvaluation],
         carried: Sequence[FitnessResult] | None = None,
+        bounds: ObjectiveBounds | None = None,
     ) -> list[FitnessResult]:
         """Score every candidate against the population's own value ranges.
 
         ``carried`` holds one earlier result per evaluation (the members'
         current fitness, when rescoring a population); its raw values and
-        vectors are reused, so only the normalization is redone.
+        vectors are reused, so only the normalization is redone.  ``bounds``
+        are those value ranges when the caller already keeps them (a
+        population's running bounds, see :class:`~repro.core.population.Population`);
+        ``evaluations`` may then be any subset of the population.  They are
+        folded from ``evaluations`` when omitted.
         """
         previous = carried if carried is not None else [None] * len(evaluations)
         measured = [
             self._measure(evaluation, result)
             for evaluation, result in zip(evaluations, previous, strict=True)
         ]
-        bounds = ObjectiveBounds()
-        for raw, _vector in measured:
-            bounds.observe(raw)
-        return [self._scalarize(raw, vector, bounds) for raw, vector in measured]
+        if bounds is None:
+            bounds = ObjectiveBounds()
+            for raw, _vector in measured:
+                bounds.observe(raw)
+        terms = self.normalization(bounds)
+        return [self._scalarize(raw, vector, terms) for raw, vector in measured]
 
     def score(self, evaluation: CandidateEvaluation, reference: list[CandidateEvaluation]) -> FitnessResult:
         """Score one candidate against a reference population (itself included)."""
@@ -211,7 +242,7 @@ class FitnessEvaluator:
         """
         raw, vector = self._measure(evaluation)
         bounds.observe(raw)
-        return self._scalarize(raw, vector, bounds)
+        return self._scalarize(raw, vector, self.normalization(bounds))
 
     # --------------------------------------------------------------- helpers
     def _measure(
@@ -228,16 +259,18 @@ class FitnessEvaluator:
         return raw, vector
 
     def _scalarize(
-        self, raw: dict[str, float], vector: ObjectiveVector, bounds: ObjectiveBounds
+        self,
+        raw: dict[str, float],
+        vector: ObjectiveVector,
+        terms: list[tuple[str, float, bool, float, float | None]],
     ) -> FitnessResult:
         if not vector.feasible:
             # Failed evaluations always carry an infeasible vector.
             return FitnessResult(fitness=float("-inf"), objectives=raw, vector=vector)
         fitness = 0.0
-        for objective in self.objectives:
-            normalized = _normalize(objective, raw[objective.name], bounds)
-            contribution = normalized if objective.maximize else 1.0 - normalized
-            fitness += objective.weight * contribution
+        for name, weight, maximize, offset, divisor in terms:
+            normalized = offset if divisor is None else _clip01((raw[name] - offset) / divisor)
+            fitness += weight * (normalized if maximize else 1.0 - normalized)
         return FitnessResult(fitness=fitness, objectives=raw, vector=vector)
 
 
@@ -278,8 +311,10 @@ class ParetoRankingEvaluator(FitnessEvaluator):
         self,
         evaluations: list[CandidateEvaluation],
         carried: Sequence[FitnessResult] | None = None,
+        bounds: ObjectiveBounds | None = None,
     ) -> list[FitnessResult]:
-        base = super().score_population(evaluations, carried)
+        """Rank the whole scored set; ``bounds`` only serve the base scalarization."""
+        base = super().score_population(evaluations, carried, bounds)
         scoreable = [i for i, e in enumerate(evaluations) if not e.failed]
         if not scoreable:
             return base
@@ -300,20 +335,8 @@ class ParetoRankingEvaluator(FitnessEvaluator):
         return results
 
 
-def _normalize(objective: ObjectiveSpec, value: float, bounds: ObjectiveBounds) -> float:
-    """One raw value on the [0, 1] scale the weighted sum adds up."""
-    if objective.scale > 0:
-        return _clip01(value / objective.scale)
-    low = bounds.low.get(objective.name)
-    if low is None:
-        return 0.0
-    high = bounds.high[objective.name]
-    if high - low < 1e-12:
-        return 0.5
-    return _clip01((value - low) / (high - low))
-
-
 def _clip01(value: float) -> float:
+    """``value`` clipped to [0, 1]; non-finite values count as 0."""
     if not math.isfinite(value):
         return 0.0
-    return float(min(1.0, max(0.0, value)))
+    return 1.0 if value >= 1.0 else (value if value > 0.0 else 0.0)

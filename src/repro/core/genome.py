@@ -23,7 +23,7 @@ import numpy as np
 
 from ..hardware.device import FPGADevice
 from ..hardware.systolic import GridConfig, GridSearchSpace
-from ..nn.activations import available_activations
+from ..nn.activations import ACTIVATIONS
 from ..nn.mlp import MLPSpec
 from .errors import GenomeError
 
@@ -72,9 +72,8 @@ class MLPGenome:
             raise GenomeError(
                 f"got {len(acts)} activations for {len(hidden)} hidden layers"
             )
-        valid = set(available_activations())
         for name in acts:
-            if name not in valid:
+            if name not in ACTIVATIONS:
                 raise GenomeError(f"unknown activation {name!r} in genome")
         object.__setattr__(self, "hidden_layers", hidden)
         object.__setattr__(self, "activations", acts)
@@ -268,9 +267,8 @@ class MLPSearchSpace:
         acts = tuple(str(a) for a in self.activations)
         if not acts:
             raise GenomeError("activations must not be empty")
-        valid = set(available_activations())
         for name in acts:
-            if name not in valid:
+            if name not in ACTIVATIONS:
                 raise GenomeError(f"unknown activation {name!r} in search space")
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "activations", acts)

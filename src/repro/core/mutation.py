@@ -248,7 +248,9 @@ class CoDesignMutator:
     def mutate(self, genome: CoDesignGenome, rng: np.random.Generator) -> CoDesignGenome:
         """Return a mutated copy of ``genome`` (always at least attempts a change)."""
         for _ in range(self.max_attempts):
-            operator = str(rng.choice(self._operator_names, p=self._probabilities))
+            # Drawing the index consumes the same random stream as drawing the
+            # name would, without building a string array per draw.
+            operator = self._operator_names[rng.choice(len(self._operator_names), p=self._probabilities)]
             candidate = self._apply(operator, genome, rng)
             if candidate == genome:
                 continue

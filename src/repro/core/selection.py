@@ -10,9 +10,12 @@ the multi-objective ``nsga2`` search strategy.
 
 from __future__ import annotations
 
+from operator import is_not
+
 import numpy as np
 
 from .errors import SearchError
+from .fitness import FitnessResult
 from .pareto import crowding_distances, fast_non_dominated_sort
 from .population import Individual, Population
 
@@ -153,11 +156,13 @@ class NSGA2Selection(SelectionScheme):
             raise ValueError(f"tournament_size must be >= 2, got {tournament_size}")
         self.tournament_size = int(tournament_size)
         #: Ranking memo for the last-seen population state.  Keyed on the
-        #: identity of every member's fitness result: ``Population.rescore``
-        #: replaces those objects, so the key changes exactly when the
-        #: ranking could — selection between rescores reuses the sort
-        #: instead of redoing O(n^2) dominance work per parent pick.
-        self._cache_key: tuple[int, ...] = ()
+        #: identity of every member's fitness result, in member order: a
+        #: rescore replaces the objects it changes, so the key changes exactly
+        #: when the ranking could — selection between rescores reuses the
+        #: sort instead of redoing O(n^2) dominance work per parent pick.  The
+        #: memo holds the keyed objects, so no id in the key can be reused by
+        #: a newer result while it is live.
+        self._cache_key: tuple[FitnessResult, ...] = ()
         self._cache: tuple[list[int], list[float]] = ([], [])
 
     def select(self, population: Population, rng: np.random.Generator) -> Individual:
@@ -165,8 +170,8 @@ class NSGA2Selection(SelectionScheme):
             raise SearchError("cannot select from an empty population")
         if len(population) == 1:
             return population.members[0]
-        key = tuple(id(member.fitness) for member in population.members)
-        if key != self._cache_key:
+        key = tuple(member.fitness for member in population.members)
+        if len(key) != len(self._cache_key) or any(map(is_not, key, self._cache_key)):
             self._cache = self._ranking(population)
             self._cache_key = key
         ranks, crowding = self._cache

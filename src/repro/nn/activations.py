@@ -24,6 +24,7 @@ __all__ = [
     "ELU",
     "Softplus",
     "Softmax",
+    "ACTIVATIONS",
     "get_activation",
     "available_activations",
 ]
@@ -198,7 +199,8 @@ class Softmax(Activation):
         return s * (1.0 - s)
 
 
-_REGISTRY: dict[str, type[Activation]] = {
+#: Registered activation classes by name.
+ACTIVATIONS: dict[str, type[Activation]] = {
     Identity.name: Identity,
     ReLU.name: ReLU,
     LeakyReLU.name: LeakyReLU,
@@ -212,7 +214,7 @@ _REGISTRY: dict[str, type[Activation]] = {
 
 def available_activations() -> list[str]:
     """Return the sorted names of all registered activation functions."""
-    return sorted(_REGISTRY)
+    return sorted(ACTIVATIONS)
 
 
 def get_activation(name: str | Activation) -> Activation:
@@ -232,8 +234,8 @@ def get_activation(name: str | Activation) -> Activation:
     if isinstance(name, Activation):
         return name
     key = str(name).strip().lower()
-    if key not in _REGISTRY:
+    if key not in ACTIVATIONS:
         raise ValueError(
             f"unknown activation {name!r}; available: {', '.join(available_activations())}"
         )
-    return _REGISTRY[key]()
+    return ACTIVATIONS[key]()

@@ -130,7 +130,7 @@ class StoreBackedCache(EvaluationCache):
 
     def _load(self, genome: CoDesignGenome) -> CandidateEvaluation | None:
         try:
-            stored = self.backing_store.get(self.problem_digest, genome.cache_key())
+            stored = self.backing_store.get(self.problem_digest, genome.cache_key(), genome=genome)
         except StoreError as exc:
             logger.warning("evaluation store read failed: %s", exc)
             return None

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from ..core.candidate import CandidateEvaluation
 from ..core.errors import StoreError
+from ..core.genome import CoDesignGenome
 from .serialize import dumps, loads
 
 __all__ = [
@@ -113,8 +114,14 @@ class StoreRepository(Protocol):
         """Persist a batch of evaluations; returns the number written."""
         ...
 
-    def get(self, problem_digest: str, genome_key: str) -> CandidateEvaluation | None:
-        """The stored evaluation for one candidate, or None when absent."""
+    def get(
+        self, problem_digest: str, genome_key: str, genome: CoDesignGenome | None = None
+    ) -> CandidateEvaluation | None:
+        """The stored evaluation for one candidate, or None when absent.
+
+        A row whose genome equals ``genome`` carries that object (see
+        :func:`~repro.store.serialize.loads`).
+        """
         ...
 
     def best(self, problem_digest: str, limit: int) -> list[CandidateEvaluation]:
@@ -331,7 +338,9 @@ class SQLiteRepository:
         return len(rows)
 
     # -------------------------------------------------------------- reads
-    def get(self, problem_digest: str, genome_key: str) -> CandidateEvaluation | None:
+    def get(
+        self, problem_digest: str, genome_key: str, genome: CoDesignGenome | None = None
+    ) -> CandidateEvaluation | None:
         """The stored evaluation for one candidate, or None when absent."""
         with self._lock:
             try:
@@ -344,7 +353,7 @@ class SQLiteRepository:
                 raise StoreError(f"cannot read evaluation store {self.path}: {exc}") from exc
         if row is None:
             return None
-        return loads(row[0])
+        return loads(row[0], genome)
 
     def best(self, problem_digest: str, limit: int) -> list[CandidateEvaluation]:
         """The highest-accuracy stored candidates of one problem, best first."""

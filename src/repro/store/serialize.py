@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from ..core.candidate import CandidateEvaluation
-from ..core.errors import StoreError
+from ..core.errors import GenomeError, StoreError
 from ..core.genome import CoDesignGenome
 from ..hardware.results import HardwareMetrics
 from ..hardware.synthesis import SynthesisReport
@@ -65,8 +65,17 @@ def evaluation_to_payload(evaluation: CandidateEvaluation) -> dict:
     }
 
 
-def evaluation_from_payload(data: dict) -> CandidateEvaluation:
+def evaluation_from_payload(data: dict, genome: CoDesignGenome | None = None) -> CandidateEvaluation:
     """Inverse of :func:`evaluation_to_payload`.
+
+    Parameters
+    ----------
+    data:
+        The payload dictionary.
+    genome:
+        The genome the caller looked the row up by, if any.  When the
+        payload's genome dictionary equals ``genome.to_dict()`` the record
+        carries this object; any other genome is decoded and validated.
 
     Raises
     ------
@@ -76,8 +85,11 @@ def evaluation_from_payload(data: dict) -> CandidateEvaluation:
     """
     try:
         synthesis_data = data.get("synthesis")
+        genome_data = data["genome"]
+        if genome is None or genome_data != genome.to_dict():
+            genome = CoDesignGenome.from_dict(genome_data)
         return CandidateEvaluation(
-            genome=CoDesignGenome.from_dict(data["genome"]),
+            genome=genome,
             accuracy=float(data["accuracy"]),
             accuracy_std=float(data.get("accuracy_std", 0.0)),
             parameter_count=int(data.get("parameter_count", 0)),
@@ -89,7 +101,7 @@ def evaluation_from_payload(data: dict) -> CandidateEvaluation:
             error=str(data.get("error", "")),
             extras=dict(data.get("extras", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GenomeError) as exc:
         raise StoreError(f"malformed stored evaluation payload: {exc!r}") from exc
 
 
@@ -100,10 +112,14 @@ def dumps(evaluation: CandidateEvaluation) -> str:
     return json.dumps(evaluation_to_payload(evaluation), sort_keys=True, default=str)
 
 
-def loads(payload: str) -> CandidateEvaluation:
-    """Deserialize one evaluation from its JSON payload string."""
+def loads(payload: str, genome: CoDesignGenome | None = None) -> CandidateEvaluation:
+    """Deserialize one evaluation from its JSON payload string.
+
+    ``genome`` is reused for a payload whose genome equals it (see
+    :func:`evaluation_from_payload`).
+    """
     try:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise StoreError(f"stored evaluation payload is not valid JSON: {exc}") from exc
-    return evaluation_from_payload(data)
+    return evaluation_from_payload(data, genome)

@@ -38,6 +38,7 @@ from typing import Iterable, Iterator
 
 from ..core.candidate import CandidateEvaluation
 from ..core.errors import StoreError
+from ..core.genome import CoDesignGenome
 from .repository import SCHEMA_VERSION, RawRow, SQLiteRepository
 
 __all__ = ["LAYOUT_FILE", "MAX_SHARDS", "ShardedStore", "shard_index", "migrate_store"]
@@ -209,9 +210,11 @@ class ShardedStore:
         )
 
     # -------------------------------------------------------------- reads
-    def get(self, problem_digest: str, genome_key: str) -> CandidateEvaluation | None:
+    def get(
+        self, problem_digest: str, genome_key: str, genome: CoDesignGenome | None = None
+    ) -> CandidateEvaluation | None:
         """Point read from the problem's shard."""
-        return self.shard_for(problem_digest).get(problem_digest, genome_key)
+        return self.shard_for(problem_digest).get(problem_digest, genome_key, genome)
 
     def best(self, problem_digest: str, limit: int) -> list[CandidateEvaluation]:
         """Best stored candidates of one problem (single-shard read)."""

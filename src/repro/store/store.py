@@ -32,6 +32,7 @@ from typing import Iterable, Iterator
 
 from ..core.candidate import CandidateEvaluation
 from ..core.errors import StoreError
+from ..core.genome import CoDesignGenome
 from .repository import SCHEMA_VERSION, RawRow, SQLiteRepository, StoreRepository
 from .sharded import ShardedStore
 
@@ -182,9 +183,16 @@ class EvaluationStore:
         return self._repository.put_raw_rows(rows)
 
     # -------------------------------------------------------------- reads
-    def get(self, problem_digest: str, genome_key: str) -> CandidateEvaluation | None:
-        """The stored evaluation for one candidate, or None when absent."""
-        return self._repository.get(problem_digest, genome_key)
+    def get(
+        self, problem_digest: str, genome_key: str, genome: CoDesignGenome | None = None
+    ) -> CandidateEvaluation | None:
+        """The stored evaluation for one candidate, or None when absent.
+
+        ``genome`` is the genome ``genome_key`` was taken from, when the
+        caller has it: a stored row whose genome equals it reuses that object
+        instead of decoding a copy.
+        """
+        return self._repository.get(problem_digest, genome_key, genome)
 
     def best(self, problem_digest: str, limit: int) -> list[CandidateEvaluation]:
         """The highest-accuracy stored candidates of one problem.

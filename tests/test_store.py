@@ -20,7 +20,7 @@ from repro.core.config import ECADConfig, StoreConfig
 from repro.core.engine import EngineConfig, EvolutionaryEngine
 from repro.core.errors import ConfigurationError, StoreError
 from repro.core.fitness import FitnessEvaluator, FitnessObjective
-from repro.core.genome import CoDesignSearchSpace
+from repro.core.genome import CoDesignGenome, CoDesignSearchSpace
 from repro.core.search import CoDesignSearch
 from repro.datasets.registry import load_dataset
 from repro.hardware.synthesis import SynthesisReport
@@ -134,6 +134,28 @@ class TestSerialization:
         with pytest.raises(StoreError):
             evaluation_from_payload({"accuracy": 0.5})
 
+    def test_payload_of_the_requested_genome_reuses_it(self, sample_genome, small_search_space):
+        payload = evaluation_to_payload(make_fake_evaluation(sample_genome, 0.8, fpga_outputs=1e6))
+        requested = CoDesignGenome.from_dict(sample_genome.to_dict())
+        assert evaluation_from_payload(payload, requested).genome is requested
+        decoded = evaluation_from_payload(payload)
+        assert decoded.genome == sample_genome and decoded.genome is not requested
+        # Any other genome is decoded from the payload, not taken from the caller.
+        other = next(g for g in _evaluations(small_search_space, 4) if g.genome != sample_genome).genome
+        back = evaluation_from_payload(payload, other)
+        assert back.genome == sample_genome and back.genome is not other
+
+    def test_malformed_genome_raises_store_error_with_a_requested_genome(self, sample_genome):
+        payload = evaluation_to_payload(make_fake_evaluation(sample_genome, 0.8))
+        payload["genome"]["mlp"]["activations"] = ["no-such-activation"] * len(
+            sample_genome.mlp.hidden_layers
+        )
+        with pytest.raises(StoreError):
+            evaluation_from_payload(payload, sample_genome)
+        del payload["genome"]["hardware"]
+        with pytest.raises(StoreError):
+            evaluation_from_payload(payload, sample_genome)
+
 
 class TestEvaluationStore:
     def test_put_get_round_trip(self, tmp_path, small_search_space):
@@ -146,6 +168,9 @@ class TestEvaluationStore:
         assert back.accuracy == evaluation.accuracy
         assert store.get(PROBLEM, "unknown-key") is None
         assert store.get(OTHER_PROBLEM, evaluation.genome.cache_key()) is None
+        # A store hit looked up with its genome carries that very object.
+        hit = store.get(PROBLEM, evaluation.genome.cache_key(), genome=evaluation.genome)
+        assert hit.genome is evaluation.genome
         store.close()
 
     def test_failed_evaluations_are_not_stored(self, tmp_path, sample_genome):
@@ -654,8 +679,8 @@ class _FlakyStore:
     def path(self):
         return self._store.path
 
-    def get(self, problem_digest, genome_key):
-        return self._store.get(problem_digest, genome_key)
+    def get(self, problem_digest, genome_key, genome=None):
+        return self._store.get(problem_digest, genome_key, genome)
 
     def put_many(self, problem_digest, evaluations):
         self.put_calls += 1
