@@ -970,7 +970,9 @@ class TestRandomSearchWindow:
         assert stats.models_evaluated == len(draws) - (len(successful) - len(set(successful)))
         assert calls == stats.models_evaluated
 
-    @pytest.mark.parametrize("window", [{"eval_batch_size": 4}, {"eval_batch_size": 3, "eval_parallelism": 2}])
+    @pytest.mark.parametrize(
+        "window", [{"eval_batch_size": 4}, {"eval_batch_size": 3, "eval_parallelism": 2}]
+    )
     def test_failed_repeat_counters_do_not_depend_on_the_chunk_size(self, window):
         serial, serial_calls = self._run_tanh_fails()
         chunked, chunked_calls = self._run_tanh_fails(**window)

@@ -329,6 +329,32 @@ class TestNSGA2Selection:
         front0_share = sum(1 for a in picks if a in front0_accuracies) / len(picks)
         assert front0_share > 0.7
 
+    def test_ranking_memo_is_not_fooled_by_a_reused_id(self, rng):
+        """A result created after its predecessor was freed may get the same id.
+
+        The engine frees an evicted member's result before scoring a
+        newcomer, and CPython usually hands the newcomer's result the freed
+        address; a memo keyed on bare ids then served the old ranking.
+        """
+        from repro.core.fitness import FitnessResult
+
+        population = self._population()
+        scheme = NSGA2Selection()
+        evaluator = ParetoRankingEvaluator(_objectives())
+        member = population.members[-1]
+        for step in range(20):
+            scheme.select(population, rng)
+            accuracy, outputs = (0.99, 5e6) if step % 2 == 0 else (0.01, 1e3)
+            evaluation = make_fake_evaluation(member.genome, accuracy=accuracy, fpga_outputs=outputs)
+            [scored] = evaluator.score_population([evaluation])
+            member.fitness = None  # free the old result first, as an eviction does
+            member.evaluation = evaluation
+            member.fitness = FitnessResult(
+                fitness=scored.fitness, objectives=scored.objectives, vector=scored.vector
+            )
+            scheme.select(population, rng)
+            assert scheme._cache == scheme._ranking(population)
+
     def test_registry_resolution_and_empty_population(self, rng):
         from repro.core.errors import SearchError
         from repro.core.population import Population
