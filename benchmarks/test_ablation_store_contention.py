@@ -26,12 +26,6 @@ across shards:
   any host.  This is the contention signature that survives even a
   single-CPU runner.
 
-Both metrics are wall-clock figures, so a trial in which other load on the
-host takes CPU from the writers reads low (one standalone trial under a
-busy core read 1.65x where quiet trials read 2.2-2.5x).  The comparison is
-therefore repeated: ``TRIALS`` single-file/sharded pairs run in alternating
-order, and the gates read the median of the per-pair gains.
-
 Every row is also accounted for: both variants finish with exactly
 ``processes x threads x epochs`` rows — contention may slow writers down,
 but it must never lose writes.
@@ -41,7 +35,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import statistics
 import time
 
 import numpy as np
@@ -61,8 +54,6 @@ EPOCHS = 200
 WARMUP_EPOCHS = 20
 EPOCH_SECONDS = 0.005
 SHARDS = 4
-#: Single-file/sharded pairs; the gates read the median pair.
-TRIALS = 5
 
 #: One problem per writer thread, hex-prefixed so the workload spreads
 #: evenly across SHARDS files (writer i's problem lands on shard i % SHARDS).
@@ -157,7 +148,7 @@ def _contended_writer(path, worker, barrier, queue):
     queue.put((stalls, dropped))
 
 
-def _measure(path, shards: int, trial: int) -> dict:
+def _measure(path, shards: int) -> dict:
     """One contended run: spawn the writer fleet, collect stall times."""
     EvaluationStore(str(path), shards=shards).close()
     barrier = multiprocessing.Barrier(PROCESSES)
@@ -184,7 +175,6 @@ def _measure(path, shards: int, trial: int) -> dict:
     timed_rows = PROCESSES * THREADS * EPOCHS
     blocked = max(sum(writer) for writer in per_writer)
     return {
-        "trial": trial,
         "variant": f"{shards}_shard{'s' if shards > 1 else ''}",
         "shards": shards,
         "writers": f"{PROCESSES}x{THREADS}",
@@ -204,38 +194,24 @@ def test_concurrent_writers_scale_with_shards(benchmark, results_dir, tmp_path):
     spread = [shard_index(p, SHARDS) for p in PROBLEMS]
     assert sorted(spread) == sorted(list(range(SHARDS)) * (len(PROBLEMS) // SHARDS))
 
-    def comparison() -> list[tuple[dict, dict]]:
-        pairs = []
-        for trial in range(TRIALS):
-            # Alternate which variant runs first, so a slow spell of the host
-            # does not always land on the same one.
-            order = (1, SHARDS) if trial % 2 == 0 else (SHARDS, 1)
-            measured = {
-                shards: _measure(tmp_path / f"trial{trial}-{shards}shards", shards, trial)
-                for shards in order
-            }
-            pairs.append((measured[1], measured[SHARDS]))
-        return pairs
+    def comparison() -> list[dict]:
+        single = _measure(tmp_path / "single.sqlite", shards=1)
+        sharded = _measure(tmp_path / "sharded", shards=SHARDS)
+        return [single, sharded]
 
-    pairs = benchmark.pedantic(comparison, rounds=1, iterations=1)
-    rows = []
-    for single, sharded in pairs:
-        for row in (single, sharded):
-            row["throughput_vs_single"] = round(
-                row["rows_per_blocked_second"] / single["rows_per_blocked_second"], 2
-            )
-            rows.append(row)
-    throughput_gain = statistics.median(
+    rows = benchmark.pedantic(comparison, rounds=1, iterations=1)
+    single, sharded = rows[0], rows[1]
+    throughput_gain = (
         sharded["rows_per_blocked_second"] / single["rows_per_blocked_second"]
-        for single, sharded in pairs
     )
-    stall_gain = statistics.median(
-        single["p99_stall_ms"] / sharded["p99_stall_ms"] for single, sharded in pairs
-    )
+    stall_gain = single["p99_stall_ms"] / sharded["p99_stall_ms"]
+    for row in rows:
+        row["throughput_vs_single"] = round(
+            row["rows_per_blocked_second"] / single["rows_per_blocked_second"], 2
+        )
     emit_table(
         rows,
         columns=[
-            "trial",
             "variant",
             "shards",
             "writers",
@@ -252,8 +228,8 @@ def test_concurrent_writers_scale_with_shards(benchmark, results_dir, tmp_path):
         csv_name="ablation_store_contention.csv",
     )
     print(
-        f"4-shard gains vs single file, median of {TRIALS} pairs: "
-        f"{throughput_gain:.2f}x write throughput, {stall_gain:.2f}x lower p99 write stall"
+        f"4-shard gains vs single file: {throughput_gain:.2f}x write throughput, "
+        f"{stall_gain:.2f}x lower p99 write stall"
     )
 
     # Contention may slow writers down, but it must never lose rows: every
