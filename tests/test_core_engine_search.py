@@ -406,12 +406,14 @@ def _constant(genome):
     return make_fake_evaluation(genome, accuracy=0.5, fpga_outputs=1e5, gpu_outputs=1e5)
 
 
-def _engine_digest(space, evaluator, nsga2=False, initial_genomes=None, **overrides) -> str:
+def _engine_digest(
+    space, evaluator, nsga2=False, initial_genomes=None, selection=None, **overrides
+) -> str:
     config = EngineConfig(
         population_size=overrides.pop("population_size", 6),
         max_evaluations=overrides.pop("max_evaluations", 40),
         seed=overrides.pop("seed", 3),
-        selection="nsga2" if nsga2 else "tournament",
+        selection=selection or ("nsga2" if nsga2 else "tournament"),
         **overrides,
     )
     objectives = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
@@ -470,7 +472,8 @@ def _surrogate_digest(dataset, evaluator, tmp_path, base) -> str:
 
 #: Digests of seeded runs recorded before the engine's loops were merged into
 #: one evaluation pipeline; any drift in breeding, scoring, landing order or
-#: counters shows up here.
+#: counters shows up here.  ``roulette`` and ``rank`` pin the two schemes
+#: whose parent draws are weighted.
 _SEEDED_DIGESTS = {
     "serial_weighted_sum": "f6f425649b27acc7",
     "serial_nsga2": "88eaef893d0dbad1",
@@ -482,6 +485,8 @@ _SEEDED_DIGESTS = {
     "generational_nsga2": "01ce9c91b2b3b829",
     "window1_batch4": "e5b0e89178f7e3ba",
     "window1_batch4_failures": "b9a5698421b8aa81",
+    "roulette": "a503db58b45c1122",
+    "rank": "cd792410c78b6810",
     "random_search": "3461b3ec87e8acd6",
     "surrogate_weighted_sum": "fb8e47be4701b6a1",
     "surrogate_nsga2": "8c82b823111aa0ea",
@@ -517,6 +522,8 @@ class TestSeededRunDigests:
             "window1_batch4_failures": lambda: _engine_digest(
                 space, _flaky(fake_evaluator), eval_batch_size=4
             ),
+            "roulette": lambda: _engine_digest(space, fake_evaluator, selection="roulette"),
+            "rank": lambda: _engine_digest(space, fake_evaluator, selection="rank"),
             "random_search": lambda: _random_search_digest(space, fake_evaluator),
             "surrogate_weighted_sum": lambda: _surrogate_digest(
                 tiny_dataset, fake_evaluator, tmp_path, "weighted_sum"
