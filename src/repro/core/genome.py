@@ -25,6 +25,7 @@ from ..hardware.device import FPGADevice
 from ..hardware.systolic import GridConfig, GridSearchSpace
 from ..nn.activations import ACTIVATIONS
 from ..nn.mlp import MLPSpec
+from ..sampling import pick
 from .errors import GenomeError
 
 __all__ = [
@@ -276,8 +277,8 @@ class MLPSearchSpace:
     def random_genome(self, rng: np.random.Generator) -> MLPGenome:
         """Draw a uniformly random network genome from this space."""
         num_layers = int(rng.integers(max(1, self.min_layers), self.max_layers + 1))
-        hidden = tuple(int(rng.choice(self.layer_sizes)) for _ in range(num_layers))
-        acts = tuple(str(rng.choice(self.activations)) for _ in range(num_layers))
+        hidden = tuple(pick(rng, self.layer_sizes) for _ in range(num_layers))
+        acts = tuple(pick(rng, self.activations) for _ in range(num_layers))
         use_bias = bool(rng.integers(0, 2)) if self.allow_bias_toggle else True
         return MLPGenome(hidden_layers=hidden, activations=acts, use_bias=use_bias)
 
@@ -319,7 +320,7 @@ class HardwareSearchSpace:
     def random_genome(self, rng: np.random.Generator, device: FPGADevice | None = None) -> HardwareGenome:
         """Draw a random hardware genome, rejecting grids that do not fit ``device``."""
         grid = self.grid_space.random_config(rng, device=device)
-        batch = int(rng.choice(self.batch_sizes))
+        batch = pick(rng, self.batch_sizes)
         return HardwareGenome(grid=grid, batch_size=batch)
 
     def contains(self, genome: HardwareGenome) -> bool:
@@ -362,7 +363,7 @@ class CoDesignSearchSpace:
         return CoDesignGenome(
             mlp=self.mlp_space.random_genome(rng),
             hardware=self.hardware_space.random_genome(rng, device=device),
-            gpu_batch_size=int(rng.choice(self.gpu_batch_sizes)),
+            gpu_batch_size=pick(rng, self.gpu_batch_sizes),
         )
 
     def contains(self, genome: CoDesignGenome) -> bool:

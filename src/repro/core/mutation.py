@@ -19,6 +19,7 @@ import numpy as np
 
 from ..hardware.device import FPGADevice
 from ..hardware.systolic import GridConfig
+from ..sampling import pick, pick_weighted, weights_cdf
 from .genome import CoDesignGenome, CoDesignSearchSpace, HardwareGenome, MLPGenome
 
 __all__ = [
@@ -95,7 +96,7 @@ def _choice_different(rng: np.random.Generator, options: tuple, current) -> obje
     alternatives = [value for value in options if value != current]
     if not alternatives:
         return current
-    return alternatives[int(rng.integers(0, len(alternatives)))]
+    return pick(rng, alternatives)
 
 
 # ------------------------------------------------------------------ network
@@ -128,8 +129,8 @@ def mutate_add_layer(genome: MLPGenome, space: CoDesignSearchSpace, rng: np.rand
     if genome.num_hidden_layers >= space.mlp_space.max_layers:
         return genome
     position = int(rng.integers(0, genome.num_hidden_layers + 1))
-    size = int(rng.choice(space.mlp_space.layer_sizes))
-    activation = str(rng.choice(space.mlp_space.activations))
+    size = pick(rng, space.mlp_space.layer_sizes)
+    activation = pick(rng, space.mlp_space.activations)
     hidden = list(genome.hidden_layers)
     activations = list(genome.activations)
     hidden.insert(position, size)
@@ -241,16 +242,12 @@ class CoDesignMutator:
         weights = self.config.as_dict()
         self._operator_names = [name for name, weight in weights.items() if weight > 0]
         total = sum(weights[name] for name in self._operator_names)
-        self._probabilities = np.asarray(
-            [weights[name] / total for name in self._operator_names], dtype=float
-        )
+        self._operator_cdf = weights_cdf([weights[name] / total for name in self._operator_names])
 
     def mutate(self, genome: CoDesignGenome, rng: np.random.Generator) -> CoDesignGenome:
         """Return a mutated copy of ``genome`` (always at least attempts a change)."""
         for _ in range(self.max_attempts):
-            # Drawing the index consumes the same random stream as drawing the
-            # name would, without building a string array per draw.
-            operator = self._operator_names[rng.choice(len(self._operator_names), p=self._probabilities)]
+            operator = self._operator_names[pick_weighted(rng, self._operator_cdf)]
             candidate = self._apply(operator, genome, rng)
             if candidate == genome:
                 continue

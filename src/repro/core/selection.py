@@ -14,6 +14,7 @@ from operator import is_not
 
 import numpy as np
 
+from ..sampling import pick_weighted, weights_cdf
 from .errors import SearchError
 from .fitness import FitnessResult
 from .pareto import crowding_distances, fast_non_dominated_sort
@@ -91,7 +92,7 @@ class RouletteWheelSelection(SelectionScheme):
             index = int(rng.integers(0, len(population)))
         else:
             probabilities = shifted / total
-            index = int(rng.choice(len(population), p=probabilities))
+            index = pick_weighted(rng, weights_cdf(probabilities))
         return population.members[index]
 
 
@@ -120,7 +121,7 @@ class RankSelection(SelectionScheme):
             count * (count - 1)
         )
         probabilities = probabilities / probabilities.sum()
-        index = int(rng.choice(count, p=probabilities))
+        index = pick_weighted(rng, weights_cdf(probabilities))
         return population.members[index]
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from ..sampling import pick
 from .device import FPGADevice
 
 __all__ = ["GridConfig", "GridSearchSpace"]
@@ -234,11 +235,11 @@ class GridSearchSpace:
         """
         for _ in range(max_attempts):
             config = GridConfig(
-                rows=int(rng.choice(self.rows)),
-                columns=int(rng.choice(self.columns)),
-                interleave_rows=int(rng.choice(self.interleave_rows)),
-                interleave_columns=int(rng.choice(self.interleave_columns)),
-                vector_width=int(rng.choice(self.vector_width)),
+                rows=pick(rng, self.rows),
+                columns=pick(rng, self.columns),
+                interleave_rows=pick(rng, self.interleave_rows),
+                interleave_columns=pick(rng, self.interleave_columns),
+                vector_width=pick(rng, self.vector_width),
             )
             if device is None or config.fits(device):
                 return config
