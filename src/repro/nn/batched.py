@@ -273,7 +273,8 @@ class StackedMLPGroup:
         self.weights, self.biases = self._views(self.flat_parameters)
         # Gradient buffer and its views, rebuilt when the active count changes.
         self._gradients: tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None] | None = None
-        # The softmax + cross-entropy analytic shortcut, as MLP.train_step.
+        # The softmax + cross-entropy analytic shortcut, as the reference's
+        # ``backpropagate``.
         self.softmax_output = isinstance(self.activations[-1], Softmax)
 
     @property
@@ -373,7 +374,7 @@ class StackedMLPGroup:
 
         Returns the per-run batch losses and the ``(active, P)`` gradient
         buffer, laid out like :attr:`flat_parameters`.  The buffer is reused
-        by the next call.  This mirrors ``MLP.train_step`` with the
+        by the next call.  This mirrors the reference ``backpropagate`` with the
         categorical cross-entropy loss: clipped-log loss on the probabilities
         and the analytic ``(p - t) / batch`` logit gradient when the output
         activation is softmax.

@@ -1,9 +1,12 @@
-"""Dense (fully-connected) layer with manual forward / backward passes.
+"""Dense (fully-connected) layer: parameters, forward pass and GEMM shape.
 
 The ECAD flow maps every MLP layer onto a GEMM call (section III-D of the
 paper), so each layer here tracks the exact ``(m, k, n)`` GEMM shape it
 produces.  The hardware models in :mod:`repro.hardware` consume those shapes
 to estimate FPGA and GPU performance without ever running the network.
+
+Training runs on the stacked trainer in :mod:`repro.nn.batched`; the scalar
+backward pass it is checked against lives in :mod:`repro.nn.reference`.
 """
 
 from __future__ import annotations
@@ -99,13 +102,6 @@ class DenseLayer:
 
         self.weights: np.ndarray | None = None
         self.bias: np.ndarray | None = None
-        # Cached tensors from the most recent forward pass, used by backward().
-        self._last_input: np.ndarray | None = None
-        self._last_pre_activation: np.ndarray | None = None
-        self._last_output: np.ndarray | None = None
-        # Gradients populated by backward().
-        self.grad_weights: np.ndarray | None = None
-        self.grad_bias: np.ndarray | None = None
 
     # ------------------------------------------------------------------ setup
     def initialize(self, rng: np.random.Generator) -> None:
@@ -115,8 +111,6 @@ class DenseLayer:
             self.bias = self._bias_initializer((1, self.output_size), rng).reshape(-1)
         else:
             self.bias = None
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros(self.output_size) if self.use_bias else None
 
     @property
     def is_initialized(self) -> bool:
@@ -135,13 +129,8 @@ class DenseLayer:
         return GemmShape(m=int(batch_size), k=self.input_size, n=self.output_size)
 
     # ---------------------------------------------------------------- forward
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        """Compute the layer output for a batch of inputs.
-
-        When ``training`` is true the input, pre-activation and output are
-        cached so a subsequent :meth:`backward` call can compute gradients;
-        callers must not modify the returned output in place before then.
-        """
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Compute the layer output for a batch of inputs."""
         if not self.is_initialized:
             raise RuntimeError("layer must be initialized before calling forward()")
         inputs = np.asarray(inputs, dtype=float)
@@ -154,45 +143,7 @@ class DenseLayer:
         pre_activation = inputs @ self.weights
         if self.use_bias:
             pre_activation = pre_activation + self.bias
-        outputs = self.activation.forward(pre_activation)
-        if training:
-            self._last_input = inputs
-            self._last_pre_activation = pre_activation
-            self._last_output = outputs
-        return outputs
-
-    # --------------------------------------------------------------- backward
-    def backward(self, upstream_gradient: np.ndarray, skip_activation: bool = False) -> np.ndarray:
-        """Backpropagate through the layer.
-
-        Parameters
-        ----------
-        upstream_gradient:
-            Gradient of the loss with respect to this layer's output.
-        skip_activation:
-            When true, ``upstream_gradient`` is already the gradient with
-            respect to the *pre-activation* (used for the softmax +
-            cross-entropy analytic shortcut on the output layer).
-
-        Returns
-        -------
-        numpy.ndarray
-            Gradient of the loss with respect to this layer's input, to be
-            passed to the previous layer.
-        """
-        if self._last_input is None or self._last_pre_activation is None:
-            raise RuntimeError("backward() called before a training-mode forward() pass")
-        upstream_gradient = np.asarray(upstream_gradient, dtype=float)
-        if skip_activation:
-            delta = upstream_gradient
-        else:
-            delta = upstream_gradient * self.activation.derivative(
-                self._last_pre_activation, output=self._last_output
-            )
-        self.grad_weights = self._last_input.T @ delta
-        if self.use_bias:
-            self.grad_bias = delta.sum(axis=0)
-        return delta @ self.weights.T
+        return self.activation.forward(pre_activation)
 
     # ------------------------------------------------------------- parameters
     def parameters(self) -> list[np.ndarray]:
@@ -203,15 +154,6 @@ class DenseLayer:
         if self.use_bias:
             params.append(self.bias)
         return params
-
-    def gradients(self) -> list[np.ndarray]:
-        """Gradients matching :meth:`parameters` order."""
-        if self.grad_weights is None:
-            raise RuntimeError("no gradients available; run backward() first")
-        grads = [self.grad_weights]
-        if self.use_bias:
-            grads.append(self.grad_bias)
-        return grads
 
     def set_parameters(self, params: list[np.ndarray]) -> None:
         """Replace the trainable arrays (used by the optimizers and tests)."""

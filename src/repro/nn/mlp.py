@@ -3,20 +3,22 @@
 This is the network family the ECAD search explores: a stack of
 fully-connected layers whose count, widths, activations and bias usage come
 from an :class:`repro.core.genome.MLPGenome`.  The model exposes both the
-numerical interface (forward / backward / predict) used by the simulation
-worker and the *structural* interface (GEMM shapes, parameter counts) used by
-the hardware models.
+numerical interface (forward / predict) and the *structural* interface (GEMM
+shapes, parameter counts) used by the hardware models.  Its initialized
+parameters seed the stacked trainer in :mod:`repro.nn.batched`; the scalar
+backward pass that trainer is checked against lives in
+:mod:`repro.nn.reference`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Softmax, get_activation
+from .activations import get_activation
 from .layers import DenseLayer, GemmShape
-from .losses import CategoricalCrossEntropy, Loss, get_loss
+from .losses import Loss, get_loss
 
 __all__ = ["MLPSpec", "MLP"]
 
@@ -139,20 +141,13 @@ class MLPSpec:
         )
 
 
-@dataclass
-class _ForwardCache:
-    """Bookkeeping for one training step (kept out of the public surface)."""
-
-    batch_size: int = 0
-    outputs: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
 class MLP:
     """A trainable multilayer perceptron built from an :class:`MLPSpec`.
 
-    The model owns its layers and a loss function; optimization is delegated to
-    the trainer in :mod:`repro.nn.training` so the same model class can be used
-    for plain inference inside workers.
+    The model owns its layers and a loss function; training is delegated to
+    the stacked trainer in :mod:`repro.nn.batched` (and, as its oracle, the
+    scalar trainer in :mod:`repro.nn.reference`), so the same model class can
+    be used for plain inference inside workers.
     """
 
     def __init__(self, spec: MLPSpec, loss: str | Loss = "categorical_cross_entropy", seed: int | None = None) -> None:
@@ -170,50 +165,26 @@ class MLP:
             self.layers.append(layer)
 
     # ------------------------------------------------------------- inference
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Run a full forward pass and return the output activations."""
         outputs = np.asarray(inputs, dtype=float)
         if outputs.ndim == 1:
             outputs = outputs.reshape(1, -1)
         for layer in self.layers:
-            outputs = layer.forward(outputs, training=training)
+            outputs = layer.forward(outputs)
         return outputs
 
     def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
         """Class probabilities for each input row."""
-        return self.forward(inputs, training=False)
+        return self.forward(inputs)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Predicted class labels for each input row."""
         return np.argmax(self.predict_proba(inputs), axis=1)
 
-    # -------------------------------------------------------------- training
-    def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Forward + backward over one mini-batch; returns the batch loss.
-
-        Gradients are left on the layers; the caller (trainer) applies the
-        optimizer update.
-        """
-        outputs = self.forward(inputs, training=True)
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim == 1:
-            raise ValueError("targets must be one-hot encoded (2-D)")
-        loss_value = self.loss.forward(outputs, targets)
-        gradient = self.loss.gradient(outputs, targets)
-        # Softmax + cross-entropy: the loss gradient is already w.r.t. logits.
-        output_layer = self.layers[-1]
-        uses_analytic_shortcut = (
-            isinstance(output_layer.activation, Softmax)
-            and isinstance(self.loss, CategoricalCrossEntropy)
-        )
-        upstream = output_layer.backward(gradient, skip_activation=uses_analytic_shortcut)
-        for layer in reversed(self.layers[:-1]):
-            upstream = layer.backward(upstream)
-        return float(loss_value)
-
     def evaluate_loss(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Loss over a dataset without touching gradients."""
-        outputs = self.forward(inputs, training=False)
+        """Loss over a dataset."""
+        outputs = self.forward(inputs)
         return float(self.loss.forward(outputs, np.asarray(targets, dtype=float)))
 
     # ------------------------------------------------------------ parameters
@@ -223,13 +194,6 @@ class MLP:
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
-
-    def gradients(self) -> list[np.ndarray]:
-        """Gradients matching :meth:`parameters` order."""
-        grads: list[np.ndarray] = []
-        for layer in self.layers:
-            grads.extend(layer.gradients())
-        return grads
 
     @property
     def parameter_count(self) -> int:

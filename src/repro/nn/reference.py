@@ -4,7 +4,8 @@ Every candidate the search evaluates trains on the stacked
 :class:`~repro.nn.batched.BatchedTrainer`, which holds a group of
 same-topology runs in one parameter buffer and drives them through fused
 GEMMs.  This module keeps the plain loop that trainer reproduces bit for bit:
-a mini-batch :class:`Trainer` over one :class:`~repro.nn.mlp.MLP`, the
+the scalar forward + backward pass over one :class:`~repro.nn.mlp.MLP`
+(:func:`backpropagate`), a mini-batch :class:`Trainer` built on it, the
 per-tensor optimizers it steps, and the single-fold and k-fold protocols
 built on them (:func:`evaluate_single_fold`, :func:`evaluate_kfold`).
 
@@ -20,13 +21,16 @@ import time
 
 import numpy as np
 
+from .activations import Softmax
 from .evaluation import EvaluationResult, kfold_indices
+from .losses import CategoricalCrossEntropy
 from .metrics import accuracy
 from .mlp import MLP, MLPSpec
 from .preprocessing import StandardScaler, one_hot
 from .training import TrainingConfig, TrainingHistory, _validation_count
 
 __all__ = [
+    "backpropagate",
     "Optimizer",
     "SGD",
     "MomentumSGD",
@@ -38,6 +42,57 @@ __all__ = [
     "evaluate_single_fold",
     "evaluate_kfold",
 ]
+
+
+# ---------------------------------------------------------------- backward
+def backpropagate(model: MLP, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Forward + backward over one mini-batch: the batch loss and the gradients.
+
+    ``targets`` are one-hot rows.  The gradients come in
+    :meth:`~repro.nn.mlp.MLP.parameters` order ``[W0, b0, W1, b1, ...]``.
+    With a softmax output and the categorical cross-entropy loss the loss
+    gradient is already the logit gradient, so the output layer skips its
+    activation derivative — the analytic shortcut the stacked trainer takes
+    too.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim == 1:
+        raise ValueError("targets must be one-hot encoded (2-D)")
+    layer_input = np.asarray(inputs, dtype=float)
+    if layer_input.ndim == 1:
+        layer_input = layer_input.reshape(1, -1)
+    # (input, pre-activation, output) of every layer, for the backward pass.
+    trace: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for layer in model.layers:
+        pre_activation = layer_input @ layer.weights
+        if layer.use_bias:
+            pre_activation = pre_activation + layer.bias
+        output = layer.activation.forward(pre_activation)
+        trace.append((layer_input, pre_activation, output))
+        layer_input = output
+    outputs = layer_input
+    loss_value = model.loss.forward(outputs, targets)
+    upstream = model.loss.gradient(outputs, targets)
+
+    last = len(model.layers) - 1
+    shortcut = isinstance(model.layers[last].activation, Softmax) and isinstance(
+        model.loss, CategoricalCrossEntropy
+    )
+    gradients: list[np.ndarray] = []
+    for index in range(last, -1, -1):
+        layer = model.layers[index]
+        layer_input, pre_activation, output = trace[index]
+        if index == last and shortcut:
+            delta = upstream
+        else:
+            delta = upstream * layer.activation.derivative(pre_activation, output=output)
+        layer_gradients = [layer_input.T @ delta]
+        if layer.use_bias:
+            layer_gradients.append(delta.sum(axis=0))
+        gradients[:0] = layer_gradients
+        if index:
+            upstream = delta @ layer.weights.T
+    return float(loss_value), gradients
 
 
 # --------------------------------------------------------------- optimizers
@@ -301,8 +356,10 @@ class Trainer:
             epoch_losses: list[float] = []
             for start in range(0, train_count, config.batch_size):
                 batch_idx = epoch_idx[start : start + config.batch_size]
-                loss_value = model.train_step(features[batch_idx], encoded_labels[batch_idx])
-                optimizer.step(model.parameters(), model.gradients())
+                loss_value, gradients = backpropagate(
+                    model, features[batch_idx], encoded_labels[batch_idx]
+                )
+                optimizer.step(model.parameters(), gradients)
                 epoch_losses.append(loss_value)
 
             history.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))

@@ -22,7 +22,13 @@ from repro.nn.batched import BatchedTrainer, train_and_score_batch
 from repro.nn.evaluation import evaluate_kfold_batch, evaluate_single_fold_batch
 from repro.nn.mlp import MLP
 from repro.nn.preprocessing import one_hot
-from repro.nn.reference import Trainer, evaluate_kfold, evaluate_single_fold, get_optimizer
+from repro.nn.reference import (
+    Trainer,
+    backpropagate,
+    evaluate_kfold,
+    evaluate_single_fold,
+    get_optimizer,
+)
 
 
 def _dataset(seed: int = 0, samples: int = 160, features: int = 12, classes: int = 3):
@@ -272,8 +278,9 @@ def _materialized_split_fit(model, features, labels, config, seed):
         epoch_losses = []
         for start in range(0, num_samples, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            epoch_losses.append(model.train_step(train_x[batch_idx], encoded_train_y[batch_idx]))
-            optimizer.step(model.parameters(), model.gradients())
+            loss_value, gradients = backpropagate(model, train_x[batch_idx], encoded_train_y[batch_idx])
+            epoch_losses.append(loss_value)
+            optimizer.step(model.parameters(), gradients)
         train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
         model.predict(train_x)  # the per-epoch train-split prediction
         epochs_run = epoch + 1

@@ -1,4 +1,4 @@
-"""Unit tests for repro.nn.layers and repro.nn.mlp."""
+"""Unit tests for repro.nn.layers, repro.nn.mlp and the reference backward pass."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from repro.nn.layers import DenseLayer, GemmShape
 from repro.nn.losses import CategoricalCrossEntropy
 from repro.nn.mlp import MLP, MLPSpec
 from repro.nn.preprocessing import one_hot
+from repro.nn.reference import Adam, backpropagate
 
 
 class TestGemmShape:
@@ -57,39 +58,9 @@ class TestDenseLayer:
         with pytest.raises(RuntimeError):
             DenseLayer(2, 2).forward(np.ones((1, 2)))
 
-    def test_backward_requires_training_forward(self, rng):
-        layer = DenseLayer(3, 2)
-        layer.initialize(rng)
-        layer.forward(np.ones((1, 3)), training=False)
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((1, 2)))
-
     def test_parameter_count(self):
         assert DenseLayer(10, 5).parameter_count == 10 * 5 + 5
         assert DenseLayer(10, 5, use_bias=False).parameter_count == 50
-
-    def test_gradient_matches_finite_difference(self, rng):
-        layer = DenseLayer(3, 2, activation="tanh")
-        layer.initialize(rng)
-        inputs = rng.normal(size=(4, 3))
-        upstream = rng.normal(size=(4, 2))
-
-        layer.forward(inputs, training=True)
-        layer.backward(upstream)
-        analytic = layer.grad_weights.copy()
-
-        eps = 1e-6
-        numeric = np.zeros_like(layer.weights)
-        for i in range(3):
-            for j in range(2):
-                original = layer.weights[i, j]
-                layer.weights[i, j] = original + eps
-                up = np.sum(layer.forward(inputs) * upstream)
-                layer.weights[i, j] = original - eps
-                down = np.sum(layer.forward(inputs) * upstream)
-                layer.weights[i, j] = original
-                numeric[i, j] = (up - down) / (2 * eps)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
     def test_gemm_shape_reflects_layer_dimensions(self):
         layer = DenseLayer(128, 64)
@@ -146,25 +117,6 @@ class TestMLP:
         assert labels.shape == (10,)
         assert set(np.unique(labels)) <= {0, 1}
 
-    def test_train_step_reduces_loss_on_fixed_batch(self, small_mlp_spec, rng):
-        model = MLP(small_mlp_spec, seed=3)
-        x = rng.normal(size=(32, 12))
-        y = one_hot((rng.random(32) > 0.5).astype(int), 2)
-        from repro.nn.reference import Adam
-
-        optimizer = Adam(learning_rate=0.01)
-        first_loss = model.train_step(x, y)
-        for _ in range(30):
-            model.train_step(x, y)
-            optimizer.step(model.parameters(), model.gradients())
-        final_loss = model.evaluate_loss(x, y)
-        assert final_loss < first_loss
-
-    def test_train_step_rejects_integer_labels(self, small_mlp_spec, rng):
-        model = MLP(small_mlp_spec, seed=0)
-        with pytest.raises(ValueError):
-            model.train_step(rng.normal(size=(4, 12)), np.array([0, 1, 0, 1]))
-
     def test_parameter_count_matches_spec(self, small_mlp_spec):
         model = MLP(small_mlp_spec, seed=0)
         assert model.parameter_count == small_mlp_spec.parameter_count
@@ -175,14 +127,63 @@ class TestMLP:
         out_b = MLP(small_mlp_spec, seed=42).predict_proba(x)
         np.testing.assert_array_equal(out_a, out_b)
 
+
+class TestReferenceBackpropagation:
+    """The scalar backward pass the stacked trainer is checked against."""
+
+    def test_activation_derivative_matches_finite_difference(self, rng):
+        # A tanh output under squared error takes the chain rule through the
+        # activation derivative, not the softmax + cross-entropy shortcut.
+        spec = MLPSpec(input_size=3, output_size=2, hidden_sizes=(), output_activation="tanh")
+        model = MLP(spec, loss="mean_squared_error", seed=0)
+        inputs = rng.normal(size=(4, 3))
+        targets = rng.normal(size=(4, 2))
+        _, gradients = backpropagate(model, inputs, targets)
+
+        weights = model.layers[0].weights
+        eps = 1e-6
+        numeric = np.zeros_like(weights)
+        for i in range(3):
+            for j in range(2):
+                original = weights[i, j]
+                weights[i, j] = original + eps
+                up = model.evaluate_loss(inputs, targets)
+                weights[i, j] = original - eps
+                down = model.evaluate_loss(inputs, targets)
+                weights[i, j] = original
+                numeric[i, j] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(gradients[0], numeric, rtol=1e-4, atol=1e-6)
+
+    def test_reduces_loss_on_fixed_batch(self, small_mlp_spec, rng):
+        model = MLP(small_mlp_spec, seed=3)
+        x = rng.normal(size=(32, 12))
+        y = one_hot((rng.random(32) > 0.5).astype(int), 2)
+        optimizer = Adam(learning_rate=0.01)
+        first_loss, _ = backpropagate(model, x, y)
+        for _ in range(30):
+            _, gradients = backpropagate(model, x, y)
+            optimizer.step(model.parameters(), gradients)
+        final_loss = model.evaluate_loss(x, y)
+        assert final_loss < first_loss
+
+    def test_rejects_integer_labels(self, small_mlp_spec, rng):
+        model = MLP(small_mlp_spec, seed=0)
+        with pytest.raises(ValueError):
+            backpropagate(model, rng.normal(size=(4, 12)), np.array([0, 1, 0, 1]))
+
+    def test_gradients_follow_parameter_order(self, rng):
+        spec = MLPSpec(input_size=5, output_size=3, hidden_sizes=(6, 4), activations=("relu", "tanh"))
+        model = MLP(spec, seed=1)
+        _, gradients = backpropagate(model, rng.normal(size=(8, 5)), one_hot(rng.integers(0, 3, size=8), 3))
+        assert [g.shape for g in gradients] == [p.shape for p in model.parameters()]
+
     def test_loss_gradient_shortcut_consistency(self, rng):
         """Softmax+CE analytic gradient must equal the chain-rule numeric gradient."""
         spec = MLPSpec(input_size=5, output_size=3, hidden_sizes=(6,), activations=("tanh",))
         model = MLP(spec, seed=1)
         x = rng.normal(size=(8, 5))
         y = one_hot(rng.integers(0, 3, size=8), 3)
-        model.train_step(x, y)
-        analytic = [g.copy() for g in model.gradients()]
+        _, analytic = backpropagate(model, x, y)
 
         eps = 1e-6
         loss_fn = CategoricalCrossEntropy()

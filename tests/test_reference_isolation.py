@@ -4,7 +4,9 @@ Every candidate trains on the stacked trainer; :mod:`repro.nn.reference`
 keeps the one-model loop only as the oracle the ``==`` suites compare
 against.  These walk the syntax trees of every module under ``repro`` so a
 second trainer cannot come back unnoticed: only ``nn/reference.py`` may
-define or use the scalar names, and no module may import it.
+define or use the scalar names, no module may import it, and no shipped
+model class carries the scalar backward pass (its per-layer ``backward``,
+gradient buffers or training-mode caches).
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).parent
 REFERENCE = PACKAGE_ROOT / "nn" / "reference.py"
 
-#: The scalar trainer, its optimizers and the protocols built on them.
+#: The scalar backward pass, the trainer and optimizers built on it, and
+#: the protocols built on those.
 SCALAR_NAMES = {
+    "backpropagate",
     "Trainer",
     "Optimizer",
     "SGD",
@@ -90,6 +94,60 @@ def test_only_the_reference_defines_or_uses_the_scalar_trainer():
         if uses:
             offenders[str(path.relative_to(PACKAGE_ROOT))] = uses
     assert offenders == {}
+
+
+#: What a model class would define to carry its own scalar backward pass.
+#: ``StackedMLPGroup.train_step`` is the fused step every candidate trains
+#: with, so ``train_step`` is barred on the per-model classes only.
+BACKWARD_ATTRIBUTES = {"backward", "gradients", "grad_weights", "grad_bias", "_last_input"}
+PER_MODEL_CLASSES = {"DenseLayer", "MLP"}
+
+
+def _backward_definitions(tree: ast.AST) -> list[str]:
+    """Methods or ``self`` attributes of ``tree``'s classes that hold a backward pass."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        barred = BACKWARD_ATTRIBUTES | ({"train_step"} if node.name in PER_MODEL_CLASSES else set())
+        for inner in ast.walk(node):
+            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = inner.name
+            elif (
+                isinstance(inner, ast.Attribute)
+                and isinstance(inner.ctx, ast.Store)
+                and isinstance(inner.value, ast.Name)
+                and inner.value.id == "self"
+            ):
+                name = inner.attr
+            else:
+                continue
+            if name in barred:
+                found.append(f"{node.name}.{name} (line {inner.lineno})")
+    return found
+
+
+def test_no_shipped_class_defines_a_scalar_backward_pass():
+    offenders = {}
+    for path in _shipped_modules():
+        if path == REFERENCE:
+            continue
+        found = _backward_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if found:
+            offenders[str(path.relative_to(PACKAGE_ROOT))] = found
+    assert offenders == {}
+
+
+def test_the_backward_guard_sees_every_form():
+    for source in (
+        "class DenseLayer:\n    def backward(self, upstream): ...",
+        "class MLP:\n    def train_step(self, x, y): ...",
+        "class MLP:\n    def gradients(self): ...",
+        "class DenseLayer:\n    def forward(self, x):\n        self._last_input = x",
+        "class Conv:\n    def __init__(self):\n        self.grad_weights = None",
+    ):
+        assert _backward_definitions(ast.parse(source)), source
+    assert _backward_definitions(ast.parse("class StackedMLPGroup:\n    def train_step(self): ...")) == []
 
 
 def test_no_module_imports_the_reference():
