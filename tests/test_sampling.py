@@ -137,6 +137,13 @@ def test_weights_cdf_ends_at_one_and_skips_zero_weights():
     assert draws == [1, 1, 3, 3]
 
 
+def test_the_last_option_takes_the_largest_draw():
+    # Ten equal weights sum to 0.9999999999999999; without dividing by the
+    # last entry, the largest draw below one would fall off the end.
+    cdf = weights_cdf(_normalized([1.0] * 10))
+    assert pick_weighted(_FixedDraw(np.nextafter(1.0, 0.0)), cdf) == 9
+
+
 # ------------------------------------------------------------------ guard
 
 GUARDED = ("core", "hardware")
