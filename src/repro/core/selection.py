@@ -107,6 +107,9 @@ class RankSelection(SelectionScheme):
                 f"selection_pressure must be in (1, 2], got {selection_pressure}"
             )
         self.selection_pressure = float(selection_pressure)
+        #: Rank-weight cdf per population size: the weights depend on nothing
+        #: else, so each size's cdf is built once.
+        self._cdfs: dict[int, list[float]] = {}
 
     def select(self, population: Population, rng: np.random.Generator) -> Individual:
         if len(population) == 0:
@@ -114,15 +117,19 @@ class RankSelection(SelectionScheme):
         count = len(population)
         if count == 1:
             return population.members[0]
+        cdf = self._cdfs.get(count)
+        if cdf is None:
+            cdf = self._cdfs[count] = self._rank_cdf(count)
+        return population.members[pick_weighted(rng, cdf)]
+
+    def _rank_cdf(self, count: int) -> list[float]:
         # members[0] is the best; rank 0 = best.
         ranks = np.arange(count, dtype=float)
         pressure = self.selection_pressure
         probabilities = (2 - pressure) / count + 2 * (count - 1 - ranks) * (pressure - 1) / (
             count * (count - 1)
         )
-        probabilities = probabilities / probabilities.sum()
-        index = pick_weighted(rng, weights_cdf(probabilities))
-        return population.members[index]
+        return weights_cdf(probabilities / probabilities.sum())
 
 
 class NSGA2Selection(SelectionScheme):

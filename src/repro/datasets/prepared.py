@@ -1,11 +1,11 @@
 """Per-process cache of preprocessing work shared across candidate evaluations.
 
-Every candidate evaluation used to redo the same dataset-wide preprocessing:
-coerce arrays, fit a :class:`~repro.nn.preprocessing.StandardScaler` on the
-training split, one-hot encode labels, and (for the k-fold protocol) derive
-fold index partitions.  None of that depends on the candidate — only on the
-dataset content and the protocol parameters — so a population of hundreds of
-candidates repeats identical work hundreds of times.
+Every pre-split candidate evaluation would otherwise redo the same
+dataset-wide preprocessing: fit a
+:class:`~repro.nn.preprocessing.StandardScaler` on the training split and
+standardize both splits.  None of that depends on the candidate — only on
+the dataset content — so a population of hundreds of candidates would
+repeat identical work hundreds of times.
 
 :class:`PreparedDataset` computes each artifact once and memoizes it.
 :func:`prepare_dataset` keeps one ``PreparedDataset`` per live :class:`Dataset`
@@ -16,9 +16,9 @@ dataset once from shared memory (see :mod:`repro.datasets.shared`) and then
 hits this per-process memo on every subsequent request.
 
 Bit-compatibility note: the cached artifacts are produced by exactly the same
-code the per-candidate path runs (``StandardScaler``, ``one_hot``,
-``kfold_indices``), so evaluations built on a ``PreparedDataset`` are
-bit-identical to evaluations that re-preprocess from scratch.
+code the per-candidate path runs (``StandardScaler``), so evaluations built
+on a ``PreparedDataset`` are bit-identical to evaluations that re-preprocess
+from scratch.
 """
 
 from __future__ import annotations
@@ -48,28 +48,10 @@ class PreparedDataset:
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         self._lock = threading.Lock()
-        self._fingerprint: str | None = None
         self._scaler: "StandardScaler | None" = None
         self._standardized_features: np.ndarray | None = None
         self._standardized_test_features: np.ndarray | None = None
-        self._one_hot_labels: np.ndarray | None = None
-        self._fold_cache: dict[tuple[int, int | None], list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        """Content fingerprint of the underlying dataset (memoized)."""
-        if self._fingerprint is None:
-            from ..store.digest import dataset_fingerprint
-
-            self._fingerprint = dataset_fingerprint(self.dataset)
-        return self._fingerprint
-
-    # ------------------------------------------------------------------
-    # scaler artifacts (pre-split single-fold protocol)
-    # ------------------------------------------------------------------
     @property
     def scaler(self) -> "StandardScaler":
         """``StandardScaler`` fitted once on the full training split."""
@@ -99,42 +81,6 @@ class PreparedDataset:
             if self._standardized_test_features is None:
                 self._standardized_test_features = scaler.transform(self.dataset.test_features)
             return self._standardized_test_features
-
-    # ------------------------------------------------------------------
-    # label artifacts
-    # ------------------------------------------------------------------
-    @property
-    def one_hot_labels(self) -> np.ndarray:
-        """One-hot encoding of the full training labels.
-
-        Row ``i`` equals ``one_hot(labels, k)[i]`` exactly, so slicing this
-        matrix by fold/shuffle indices reproduces what per-candidate encoding
-        of the sliced labels would have produced.
-        """
-        with self._lock:
-            if self._one_hot_labels is None:
-                from ..nn.preprocessing import one_hot
-
-                self._one_hot_labels = one_hot(self.dataset.labels, self.dataset.num_classes)
-            return self._one_hot_labels
-
-    # ------------------------------------------------------------------
-    # fold splits
-    # ------------------------------------------------------------------
-    def fold_indices(
-        self, num_folds: int, seed: int | None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Memoized ``kfold_indices`` partitions for this dataset's size."""
-        key = (int(num_folds), seed)
-        with self._lock:
-            cached = self._fold_cache.get(key)
-        if cached is not None:
-            return cached
-        from ..nn.evaluation import kfold_indices
-
-        folds = kfold_indices(self.dataset.num_samples, num_folds, seed=seed)
-        with self._lock:
-            return self._fold_cache.setdefault(key, folds)
 
 
 # One PreparedDataset per live Dataset object in this process.  Keyed by

@@ -181,9 +181,10 @@ class Softmax(Activation):
     """Row-wise softmax used on the output layer for classification.
 
     The derivative returned here is the diagonal approximation; the training
-    loop pairs softmax with cross-entropy, whose combined gradient is computed
-    analytically in :mod:`repro.nn.losses`, so the full Jacobian is never
-    required.
+    loop pairs softmax with cross-entropy, whose combined gradient
+    ``(p - t) / batch`` is computed analytically (by
+    ``StackedMLPGroup.train_step``, and by :mod:`repro.nn.losses` for the
+    scalar reference), so the full Jacobian is never required.
     """
 
     name = "softmax"

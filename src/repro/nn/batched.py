@@ -40,13 +40,11 @@ the reference exists only for the ``==`` tests and benchmarks:
   inner strides as the 2-D path, so every member runs the same per-slice GEMM
   whatever the group stride; gradients are written into their slices with
   ``out=``, which changes where a result lands, not how it is computed,
-* every other op (bias add, activations, clipped-log loss, optimizer
-  updates) is element-wise and keeps the scalar path's operand order; the
-  in-place forms (``+=``, ``out=``) round each element exactly as the
-  expressions they replace, the direct ufunc calls (``np.add.reduce``,
-  ``np.minimum(np.maximum(...))``) equal the ``np.sum``/``mean``/``np.clip``
-  forms of the scalar loss, and the per-run loss means reduce contiguous
-  rows with the same pairwise sum as the scalar trainer's 1-D means,
+* every other op (bias add, activations, the ``(p - t) / batch`` logit
+  gradient, optimizer updates) is element-wise and keeps the scalar path's
+  operand order; the in-place forms (``+=``, ``out=``) round each element
+  exactly as the expressions they replace, and ``np.add.reduce`` equals the
+  scalar bias gradient's ``sum``,
 * early-stopped candidates are frozen out of the active set: they stop
   consuming RNG draws and optimizer updates at exactly the same epoch as the
   scalar loop, and all still-active candidates always share the same
@@ -54,8 +52,11 @@ the reference exists only for the ``==`` tests and benchmarks:
   counts), so the group-global Adam bias correction equals the per-candidate
   one.
 
-Only wall-clock fields (``TrainingHistory.wall_time_seconds``) differ from
-the scalar path.
+The stacked trainer computes no loss value: the gradient needs none, and
+nothing reads one.  Each member's final parameters and its history's
+validation curve, epoch count and early-stop flag equal the scalar path's;
+the reference alone records a per-epoch loss, and only the wall-clock field
+(``TrainingHistory.wall_time_seconds``) differs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ import time
 import numpy as np
 
 from .activations import Softmax
-from .losses import _EPSILON
 from .metrics import accuracy
 from .mlp import MLP, MLPSpec
 from .preprocessing import one_hot
@@ -256,7 +256,7 @@ class StackedMLPGroup:
     ``(group, fan_in, fan_out)`` view and ``biases[i]`` a ``(group,
     fan_out)`` view into that buffer.  Initial values are copied from
     per-candidate :class:`~repro.nn.mlp.MLP` instances so they match the
-    scalar path exactly.  Activation/loss instances are stateless and shared.
+    scalar path exactly.  Activation instances are stateless and shared.
     """
 
     def __init__(self, spec: MLPSpec, seeds: list[int | None]) -> None:
@@ -369,30 +369,20 @@ class StackedMLPGroup:
 
     def train_step(
         self, inputs: np.ndarray, targets: np.ndarray, rows: np.ndarray | slice
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """One fused forward + backward over a mini-batch of every active run.
 
-        Returns the per-run batch losses and the ``(active, P)`` gradient
-        buffer, laid out like :attr:`flat_parameters`.  The buffer is reused
-        by the next call.  This mirrors the reference ``backpropagate`` with the
-        categorical cross-entropy loss: clipped-log loss on the probabilities
-        and the analytic ``(p - t) / batch`` logit gradient when the output
-        activation is softmax.
+        Returns the ``(active, P)`` gradient buffer, laid out like
+        :attr:`flat_parameters` and reused by the next call.  This mirrors
+        the reference ``backpropagate`` with the categorical cross-entropy
+        loss, whose analytic ``(p - t) / batch`` logit gradient needs no loss
+        value: the loss itself is never computed here.
         """
         weights, biases = self._select(rows)
         trace: list[tuple[np.ndarray, np.ndarray]] = []
         outputs = self._forward(inputs, weights, biases, trace)
-        batch_rows = outputs.shape[1]
-        # Direct ufunc calls skip numpy's Python-level wrappers; each equals
-        # the np.clip / np.sum / mean form it replaces bit for bit.
-        clipped = np.maximum(outputs, _EPSILON)
-        np.minimum(clipped, 1.0, out=clipped)
-        np.log(clipped, out=clipped)
-        np.multiply(targets, clipped, out=clipped)
-        losses = -np.add.reduce(clipped, axis=2)
-        losses = np.add.reduce(losses, axis=1) / batch_rows
         upstream = outputs - targets
-        upstream /= batch_rows
+        upstream /= outputs.shape[1]
 
         flat_gradients, grad_weights, grad_biases = self._gradient_buffer(outputs.shape[0])
         layer_output = outputs
@@ -413,7 +403,7 @@ class StackedMLPGroup:
                 # inputs it would cost as much as that layer's forward GEMM.
                 upstream = delta @ weights[index].swapaxes(1, 2)
             layer_output = last_input
-        return losses, flat_gradients
+        return flat_gradients
 
 
 # ------------------------------------------------------------------ trainer
@@ -532,25 +522,12 @@ class BatchedTrainer:
             if config.shuffle:
                 orders = np.stack([rngs[g].permutation(train_count) for g in active])
                 epoch_idx = np.take_along_axis(epoch_idx, orders, axis=1)
-            step_losses: list[np.ndarray] = []
             for start in range(0, train_count, config.batch_size):
                 # One single-axis gather yields each run's own batch rows.
                 batch_idx = epoch_idx[:, start : start + config.batch_size]
-                losses, gradients = model.train_step(
-                    source_x[batch_idx], encoded_y[batch_idx], row_sel
-                )
+                gradients = model.train_step(source_x[batch_idx], encoded_y[batch_idx], row_sel)
                 optimizer.step(model.flat_parameters, gradients, row_sel)
-                step_losses.append(losses)
-
-            # One contiguous (active, steps) row per run: its mean is the
-            # same pairwise sum as the scalar trainer's mean over its list.
-            epoch_losses = (
-                np.stack(step_losses, axis=1).mean(axis=1).tolist()
-                if step_losses
-                else [float("nan")] * len(active)
-            )
-            for position, g in enumerate(active):
-                histories[g].train_loss.append(epoch_losses[position])
+            for g in active:
                 histories[g].epochs_run = epoch + 1
 
             if val_count:

@@ -58,7 +58,8 @@ class EvaluationResult:
     parameter_count:
         Trainable parameter count of the evaluated specification.
     histories:
-        Per-fold training histories (convergence curves, early stopping info).
+        Per-fold training histories (per-epoch validation accuracy, epochs
+        run, early stopping; no training loss).
     """
 
     accuracy: float

@@ -4,6 +4,10 @@ Classification candidates produced by the ECAD search are trained with
 softmax + categorical cross-entropy; the combined gradient of that pair is
 computed analytically (``probabilities - one_hot_targets``) which is both faster
 and numerically safer than chaining the softmax Jacobian.
+
+The stacked trainer takes that gradient directly and computes no loss value,
+so these classes serve the scalar reference trainer
+(:mod:`repro.nn.reference`), which records a per-epoch loss.
 """
 
 from __future__ import annotations

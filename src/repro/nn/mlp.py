@@ -18,7 +18,6 @@ import numpy as np
 
 from .activations import get_activation
 from .layers import DenseLayer, GemmShape
-from .losses import Loss, get_loss
 
 __all__ = ["MLPSpec", "MLP"]
 
@@ -144,15 +143,14 @@ class MLPSpec:
 class MLP:
     """A trainable multilayer perceptron built from an :class:`MLPSpec`.
 
-    The model owns its layers and a loss function; training is delegated to
-    the stacked trainer in :mod:`repro.nn.batched` (and, as its oracle, the
-    scalar trainer in :mod:`repro.nn.reference`), so the same model class can
-    be used for plain inference inside workers.
+    The model owns its layers and no loss: training is delegated to the
+    stacked trainer in :mod:`repro.nn.batched` (and, as its oracle, the
+    scalar trainer in :mod:`repro.nn.reference`, which takes the loss), so
+    the same model class can be used for plain inference inside workers.
     """
 
-    def __init__(self, spec: MLPSpec, loss: str | Loss = "categorical_cross_entropy", seed: int | None = None) -> None:
+    def __init__(self, spec: MLPSpec, seed: int | None = None) -> None:
         self.spec = spec
-        self.loss = get_loss(loss)
         self._rng = np.random.default_rng(seed)
         self.layers: list[DenseLayer] = []
         sizes = spec.layer_sizes
@@ -181,11 +179,6 @@ class MLP:
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Predicted class labels for each input row."""
         return np.argmax(self.predict_proba(inputs), axis=1)
-
-    def evaluate_loss(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Loss over a dataset."""
-        outputs = self.forward(inputs)
-        return float(self.loss.forward(outputs, np.asarray(targets, dtype=float)))
 
     # ------------------------------------------------------------ parameters
     def parameters(self) -> list[np.ndarray]:

@@ -9,6 +9,12 @@ the scalar forward + backward pass over one :class:`~repro.nn.mlp.MLP`
 per-tensor optimizers it steps, and the single-fold and k-fold protocols
 built on them (:func:`evaluate_single_fold`, :func:`evaluate_kfold`).
 
+The loss lives here too.  The stacked trainer needs only the analytic
+softmax + cross-entropy gradient and computes no loss value, so the
+reference alone takes a :mod:`~repro.nn.losses` loss (:func:`backpropagate`),
+records each epoch's mean mini-batch loss (:class:`ReferenceHistory`) and
+measures a model's loss over a dataset (:func:`evaluate_loss`).
+
 It is the oracle, not a second training path: nothing under ``repro``
 imports it.  The ``==`` test suites compare every stacked route against it,
 and the benchmarks that time stacked training against a fold-by-fold loop
@@ -18,19 +24,22 @@ run it as that loop.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import Softmax
 from .evaluation import EvaluationResult, kfold_indices
-from .losses import CategoricalCrossEntropy
+from .losses import CategoricalCrossEntropy, Loss
 from .metrics import accuracy
 from .mlp import MLP, MLPSpec
 from .preprocessing import StandardScaler, one_hot
 from .training import TrainingConfig, TrainingHistory, _validation_count
 
 __all__ = [
+    "ReferenceHistory",
     "backpropagate",
+    "evaluate_loss",
     "Optimizer",
     "SGD",
     "MomentumSGD",
@@ -44,8 +53,35 @@ __all__ = [
 ]
 
 
+#: The loss both trainers train with (the stacked one through its analytic
+#: gradient alone); losses are stateless, so one instance serves every call.
+_CROSS_ENTROPY = CategoricalCrossEntropy()
+
+
+@dataclass
+class ReferenceHistory(TrainingHistory):
+    """A :class:`TrainingHistory` that also records the training loss.
+
+    ``train_loss`` holds the mean mini-batch loss of each epoch run.
+    """
+
+    train_loss: list[float] = field(default_factory=list)
+
+    @property
+    def final_train_loss(self) -> float:
+        """Training loss at the last completed epoch."""
+        if not self.train_loss:
+            return float("nan")
+        return self.train_loss[-1]
+
+
 # ---------------------------------------------------------------- backward
-def backpropagate(model: MLP, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def backpropagate(
+    model: MLP,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss: Loss = _CROSS_ENTROPY,
+) -> tuple[float, list[np.ndarray]]:
     """Forward + backward over one mini-batch: the batch loss and the gradients.
 
     ``targets`` are one-hot rows.  The gradients come in
@@ -71,12 +107,12 @@ def backpropagate(model: MLP, inputs: np.ndarray, targets: np.ndarray) -> tuple[
         trace.append((layer_input, pre_activation, output))
         layer_input = output
     outputs = layer_input
-    loss_value = model.loss.forward(outputs, targets)
-    upstream = model.loss.gradient(outputs, targets)
+    loss_value = loss.forward(outputs, targets)
+    upstream = loss.gradient(outputs, targets)
 
     last = len(model.layers) - 1
     shortcut = isinstance(model.layers[last].activation, Softmax) and isinstance(
-        model.loss, CategoricalCrossEntropy
+        loss, CategoricalCrossEntropy
     )
     gradients: list[np.ndarray] = []
     for index in range(last, -1, -1):
@@ -93,6 +129,16 @@ def backpropagate(model: MLP, inputs: np.ndarray, targets: np.ndarray) -> tuple[
         if index:
             upstream = delta @ layer.weights.T
     return float(loss_value), gradients
+
+
+def evaluate_loss(
+    model: MLP,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss: Loss = _CROSS_ENTROPY,
+) -> float:
+    """``model``'s mean ``loss`` over a dataset with one-hot ``targets``."""
+    return float(loss.forward(model.forward(inputs), np.asarray(targets, dtype=float)))
 
 
 # --------------------------------------------------------------- optimizers
@@ -288,6 +334,7 @@ class Trainer:
     The validation holdout is a split of row indices, not of rows: each
     mini-batch is gathered straight from the caller's matrix through the
     run's train indices, and only the small validation slice is copied, once.
+    Each epoch's mean mini-batch categorical cross-entropy is recorded.
     """
 
     def __init__(self, config: TrainingConfig | None = None, seed: int | None = None) -> None:
@@ -300,7 +347,7 @@ class Trainer:
         features: np.ndarray,
         labels: np.ndarray,
         optimizer: Optimizer | None = None,
-    ) -> TrainingHistory:
+    ) -> ReferenceHistory:
         """Train ``model`` in place and return the per-epoch history.
 
         Parameters
@@ -336,7 +383,7 @@ class Trainer:
         if optimizer is None:
             optimizer = get_optimizer(config.optimizer, learning_rate=config.learning_rate)
 
-        history = TrainingHistory()
+        history = ReferenceHistory()
         start_time = time.perf_counter()
 
         num_samples = features.shape[0]
@@ -394,7 +441,7 @@ def _train_and_score(
     training_config: TrainingConfig,
     seed: int | None,
     standardize: bool,
-) -> tuple[float, TrainingHistory]:
+) -> tuple[float, ReferenceHistory]:
     """Train one model on one fold and return (test accuracy, history)."""
     if standardize:
         scaler = StandardScaler().fit(train_x)
@@ -466,7 +513,7 @@ def evaluate_kfold(
 
     start = time.perf_counter()
     fold_accuracies: list[float] = []
-    histories: list[TrainingHistory] = []
+    histories: list[ReferenceHistory] = []
     for fold_number, (train_idx, test_idx) in enumerate(folds):
         fold_seed = None if seed is None else seed + fold_number
         score, history = _train_and_score(

@@ -2,12 +2,12 @@
 
 Each co-design candidate that reaches a worker is trained from scratch with a
 bounded budget (epochs, early stopping patience), described by
-:class:`TrainingConfig`.  Training records a per-epoch
-:class:`TrainingHistory` (mean training loss, validation accuracy) so the
-analysis layer can inspect convergence, and it measures wall-clock training
-time because Table III of the paper reports average and total evaluation
-time.  The trainer itself is the stacked
-:class:`~repro.nn.batched.BatchedTrainer`.
+:class:`TrainingConfig`.  Training records a :class:`TrainingHistory`
+(per-epoch validation accuracy, epochs run, early stopping) and measures
+wall-clock training time, because Table III of the paper reports average
+and total evaluation time.  The trainer itself is the stacked
+:class:`~repro.nn.batched.BatchedTrainer`, which computes no loss value;
+the scalar reference in :mod:`repro.nn.reference` records one per epoch.
 """
 
 from __future__ import annotations
@@ -73,14 +73,13 @@ class TrainingConfig:
 class TrainingHistory:
     """Per-epoch record of one training run.
 
-    ``train_loss`` holds the mean mini-batch loss of each epoch run and
-    ``validation_accuracy`` the held-out accuracy after it (empty when no
-    validation split is taken).  Accuracy on the train split is not
-    recorded: measuring it would cost a forward pass over every training
+    ``validation_accuracy`` holds the held-out accuracy after each epoch run
+    (empty when no validation split is taken).  Neither the training loss
+    nor accuracy on the train split is recorded: the gradient needs no loss
+    value, and train accuracy would cost a forward pass over every training
     row each epoch.
     """
 
-    train_loss: list[float] = field(default_factory=list)
     validation_accuracy: list[float] = field(default_factory=list)
     epochs_run: int = 0
     stopped_early: bool = False
@@ -92,13 +91,6 @@ class TrainingHistory:
         if not self.validation_accuracy:
             return float("nan")
         return max(self.validation_accuracy)
-
-    @property
-    def final_train_loss(self) -> float:
-        """Training loss at the last completed epoch."""
-        if not self.train_loss:
-            return float("nan")
-        return self.train_loss[-1]
 
 
 def _validation_count(config: TrainingConfig, num_samples: int) -> int:

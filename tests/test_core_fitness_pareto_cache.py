@@ -443,6 +443,24 @@ class TestSelection:
         picks = [RankSelection(selection_pressure=2.0).select(population, rng).fitness_value for _ in range(300)]
         assert np.mean(picks) > 0.55
 
+    def test_rank_selection_builds_one_cdf_per_population_size(self, rng, monkeypatch):
+        population = self._population()
+        scheme = RankSelection()
+        built = []
+        original = RankSelection._rank_cdf
+
+        def counting(self, count):
+            built.append(count)
+            return original(self, count)
+
+        monkeypatch.setattr(RankSelection, "_rank_cdf", counting)
+        for _ in range(20):
+            scheme.select(population, rng)
+        population.add(_individual(48, 0.95, 0.95))
+        for _ in range(20):
+            scheme.select(population, rng)
+        assert built == [5, 6]
+
     def test_select_pair_returns_distinct_parents(self, rng):
         population = self._population()
         first, second = TournamentSelection().select_pair(population, rng)

@@ -3,8 +3,10 @@
 The batched evaluation pipeline is only usable because its results are
 *exactly* those of the per-candidate path at fixed seeds — same cache keys,
 same store rows, same search trajectories.  These tests pin that contract:
-every accuracy, loss curve and early-stop epoch must match to the last bit
-(``==``, not ``allclose``).
+every member's final parameters (which see every optimizer step), accuracy,
+validation curve and early-stop epoch must match to the last bit (``==`` or
+equal bytes, not ``allclose``).  The stacked trainer computes no loss, so
+the reference's per-epoch loss has nothing to be compared with.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from repro.datasets import SyntheticSpec, make_classification
 from repro.nn import MLPSpec, TrainingConfig
 from repro.nn import batched as nn_batched
+from repro.nn import reference
 from repro.nn.batched import BatchedTrainer, train_and_score_batch
 from repro.nn.evaluation import evaluate_kfold_batch, evaluate_single_fold_batch
 from repro.nn.mlp import MLP
@@ -42,10 +45,60 @@ def _dataset(seed: int = 0, samples: int = 160, features: int = 12, classes: int
 
 
 def _assert_histories_identical(batched, scalar) -> None:
-    assert batched.train_loss == scalar.train_loss
     assert batched.validation_accuracy == scalar.validation_accuracy
     assert batched.epochs_run == scalar.epochs_run
     assert batched.stopped_early == scalar.stopped_early
+
+
+def _flat(model: MLP) -> np.ndarray:
+    """A scalar model's parameters in a stacked row's order ``[W0, b0, W1, ...]``."""
+    return np.concatenate([param.ravel() for param in model.parameters()])
+
+
+def _assert_member_matches(group, position: int, scalar_model: MLP) -> None:
+    """Member ``position``'s final parameter row has the reference model's bytes."""
+    assert group.flat_parameters[position].tobytes() == _flat(scalar_model).tobytes()
+
+
+@pytest.fixture
+def final_parameters(monkeypatch):
+    """Record each run's final parameters, keyed by its seed, on both trainers.
+
+    Stacked rows come from every ``BatchedTrainer.fit`` group; reference
+    parameters from every model the reference protocols build, read after
+    they have trained.  Returns a callable giving the ``(stacked, scalar)``
+    dicts of flat rows recorded so far.
+    """
+    stacked: dict[int, np.ndarray] = {}
+    scalar_models: dict[int, MLP] = {}
+    original_fit = BatchedTrainer.fit
+
+    def recording_fit(self, spec, features_list, labels_list, seeds):
+        group, histories = original_fit(self, spec, features_list, labels_list, seeds)
+        for seed, row in zip(seeds, group.flat_parameters):
+            assert seed not in stacked
+            stacked[seed] = row.copy()
+        return group, histories
+
+    def recording_mlp(spec, seed=None):
+        assert seed not in scalar_models
+        scalar_models[seed] = MLP(spec, seed=seed)
+        return scalar_models[seed]
+
+    monkeypatch.setattr(BatchedTrainer, "fit", recording_fit)
+    monkeypatch.setattr(reference, "MLP", recording_mlp)
+
+    def snapshot():
+        return stacked, {seed: _flat(model) for seed, model in scalar_models.items()}
+
+    return snapshot
+
+
+def _assert_final_parameters_identical(final_parameters) -> None:
+    stacked, scalar = final_parameters()
+    assert stacked and stacked.keys() == scalar.keys()
+    for seed, row in stacked.items():
+        assert row.tobytes() == scalar[seed].tobytes(), seed
 
 
 def _scalar_fit(spec, config, features, labels, seed):
@@ -76,9 +129,7 @@ class TestBatchedTrainerEquivalence:
             SPEC, [dataset.features], [dataset.labels], seeds=[7]
         )
         _assert_histories_identical(histories[0], scalar_history)
-        for index, layer in enumerate(scalar_model.layers):
-            assert np.array_equal(group.weights[index][0], layer.weights)
-            assert np.array_equal(group.biases[index][0], layer.bias)
+        _assert_member_matches(group, 0, scalar_model)
 
     def test_group_matches_per_candidate_loop_across_seeds(self):
         dataset = _dataset(seed=2)
@@ -95,9 +146,7 @@ class TestBatchedTrainerEquivalence:
                 SPEC, config, dataset.features, dataset.labels, seed=seed
             )
             _assert_histories_identical(histories[position], scalar_history)
-            for index, layer in enumerate(scalar_model.layers):
-                assert np.array_equal(group.weights[index][position], layer.weights)
-                assert np.array_equal(group.biases[index][position], layer.bias)
+            _assert_member_matches(group, position, scalar_model)
 
     def test_early_stopping_epochs_match_per_seed(self):
         # A patient config on an easy dataset makes candidates stop at
@@ -107,7 +156,7 @@ class TestBatchedTrainerEquivalence:
             epochs=20, batch_size=16, learning_rate=0.05, early_stopping_patience=2
         )
         seeds = [0, 1, 2, 3, 4, 5]
-        _, histories = BatchedTrainer(config).fit(
+        group, histories = BatchedTrainer(config).fit(
             SPEC,
             [dataset.features] * len(seeds),
             [dataset.labels] * len(seeds),
@@ -115,10 +164,11 @@ class TestBatchedTrainerEquivalence:
         )
         stop_epochs = set()
         for position, seed in enumerate(seeds):
-            _, scalar_history = _scalar_fit(
+            scalar_model, scalar_history = _scalar_fit(
                 SPEC, config, dataset.features, dataset.labels, seed=seed
             )
             _assert_histories_identical(histories[position], scalar_history)
+            _assert_member_matches(group, position, scalar_model)
             stop_epochs.add(scalar_history.epochs_run)
         # The scenario must actually exercise divergent stopping points.
         assert len(stop_epochs) > 1
@@ -148,9 +198,7 @@ class TestBatchedTrainerEquivalence:
                 SPEC3, config, dataset.features, dataset.labels, seed=seed
             )
             _assert_histories_identical(histories[position], scalar_history)
-            for index, layer in enumerate(scalar_model.layers):
-                assert np.array_equal(group.weights[index][position], layer.weights)
-                assert np.array_equal(group.biases[index][position], layer.bias)
+            _assert_member_matches(group, position, scalar_model)
             stop_epochs.add(scalar_history.epochs_run)
         assert len(stop_epochs) > 1
 
@@ -184,9 +232,7 @@ class TestBatchedTrainerEquivalence:
                 SPEC, config, dataset.features, dataset.labels, seed=seed
             )
             _assert_histories_identical(histories[position], scalar_history)
-            for index, layer in enumerate(scalar_model.layers):
-                assert np.array_equal(group.weights[index][position], layer.weights)
-                assert np.array_equal(group.biases[index][position], layer.bias)
+            _assert_member_matches(group, position, scalar_model)
             stop_epochs.add(scalar_history.epochs_run)
         assert len(stop_epochs) > 1
 
@@ -196,27 +242,31 @@ class TestBatchedTrainerEquivalence:
             input_size=12, output_size=3, hidden_sizes=(10,), activations=("sigmoid",), use_bias=False
         )
         config = TrainingConfig(epochs=4, batch_size=16, shuffle=False)
-        _, histories = BatchedTrainer(config).fit(
+        group, histories = BatchedTrainer(config).fit(
             spec, [dataset.features] * 2, [dataset.labels] * 2, seeds=[9, 10]
         )
         for position, seed in enumerate([9, 10]):
-            _, scalar_history = _scalar_fit(
+            scalar_model, scalar_history = _scalar_fit(
                 spec, config, dataset.features, dataset.labels, seed=seed
             )
             _assert_histories_identical(histories[position], scalar_history)
+            _assert_member_matches(group, position, scalar_model)
 
     def test_validation_disabled_runs_all_epochs(self):
         dataset = _dataset(seed=5)
         config = TrainingConfig(epochs=3, batch_size=16, early_stopping_patience=0)
-        _, histories = BatchedTrainer(config).fit(
+        group, histories = BatchedTrainer(config).fit(
             SPEC, [dataset.features], [dataset.labels], seeds=[1]
         )
-        _, scalar_history = _scalar_fit(SPEC, config, dataset.features, dataset.labels, seed=1)
+        scalar_model, scalar_history = _scalar_fit(
+            SPEC, config, dataset.features, dataset.labels, seed=1
+        )
         _assert_histories_identical(histories[0], scalar_history)
+        _assert_member_matches(group, 0, scalar_model)
         assert histories[0].epochs_run == 3
         assert histories[0].validation_accuracy == []
 
-    def test_train_and_score_batch_scores_match(self):
+    def test_train_and_score_batch_scores_match(self, final_parameters):
         train = _dataset(seed=6, samples=140)
         test = _dataset(seed=7, samples=60)
         config = TrainingConfig(epochs=5, batch_size=16)
@@ -238,6 +288,7 @@ class TestBatchedTrainerEquivalence:
 
             assert score == accuracy(model.predict(test.features), test.labels)
             _assert_histories_identical(history, scalar_history)
+            assert final_parameters()[0][seed].tobytes() == _flat(model).tobytes()
 
 
 def _materialized_split_fit(model, features, labels, config, seed):
@@ -405,7 +456,7 @@ class TestFlatParameterLayout:
 
 
 class TestBatchedEvaluationEquivalence:
-    def test_single_fold_batch_matches_loop(self):
+    def test_single_fold_batch_matches_loop(self, final_parameters):
         train = _dataset(seed=8, samples=150)
         test = _dataset(seed=9, samples=50)
         config = TrainingConfig(epochs=5, batch_size=16, early_stopping_patience=2)
@@ -434,8 +485,9 @@ class TestBatchedEvaluationEquivalence:
             assert result.parameter_count == scalar.parameter_count
             for batched_history, scalar_history in zip(result.histories, scalar.histories):
                 _assert_histories_identical(batched_history, scalar_history)
+        _assert_final_parameters_identical(final_parameters)
 
-    def test_single_fold_batch_without_standardization(self):
+    def test_single_fold_batch_without_standardization(self, final_parameters):
         train = _dataset(seed=10, samples=120)
         test = _dataset(seed=11, samples=40)
         config = TrainingConfig(epochs=3, batch_size=32)
@@ -460,8 +512,9 @@ class TestBatchedEvaluationEquivalence:
             standardize=False,
         )
         assert batched[0].accuracy == scalar.accuracy
+        _assert_final_parameters_identical(final_parameters)
 
-    def test_kfold_batch_matches_loop(self):
+    def test_kfold_batch_matches_loop(self, final_parameters):
         dataset = _dataset(seed=12, samples=110)
         config = TrainingConfig(epochs=3, batch_size=16, early_stopping_patience=2)
         seeds = [31, 57]
@@ -486,6 +539,7 @@ class TestBatchedEvaluationEquivalence:
             assert result.fold_accuracies == scalar.fold_accuracies
             for batched_history, scalar_history in zip(result.histories, scalar.histories):
                 _assert_histories_identical(batched_history, scalar_history)
+        _assert_final_parameters_identical(final_parameters)
 
     def test_kfold_batch_respects_small_group_chunks(self):
         dataset = _dataset(seed=13, samples=90)
@@ -511,7 +565,9 @@ class TestBatchedEvaluationEquivalence:
         assert chunked[0].fold_accuracies == unchunked[0].fold_accuracies
 
     @pytest.mark.parametrize("block_bytes", [1, 30720], ids=["one-member", "two-members"])
-    def test_kfold_batch_blockwise_prediction_matches_loop(self, monkeypatch, block_bytes):
+    def test_kfold_batch_blockwise_prediction_matches_loop(
+        self, monkeypatch, final_parameters, block_bytes
+    ):
         # A small prediction budget splits every stacked prediction into
         # member blocks; early stopping leaves gaps in the active members.
         monkeypatch.setattr(nn_batched, "_PREDICT_BLOCK_BYTES", block_bytes)
@@ -536,6 +592,7 @@ class TestBatchedEvaluationEquivalence:
         assert batched[0].fold_accuracies == scalar.fold_accuracies
         for batched_history, scalar_history in zip(batched[0].histories, scalar.histories):
             _assert_histories_identical(batched_history, scalar_history)
+        _assert_final_parameters_identical(final_parameters)
         assert len({history.epochs_run for history in scalar.histories}) > 1
         if block_bytes == 1:
             assert set(block_sizes) == {1}

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import DenseLayer, GemmShape
-from repro.nn.losses import CategoricalCrossEntropy
+from repro.nn.losses import CategoricalCrossEntropy, MeanSquaredError
 from repro.nn.mlp import MLP, MLPSpec
 from repro.nn.preprocessing import one_hot
-from repro.nn.reference import Adam, backpropagate
+from repro.nn.reference import Adam, backpropagate, evaluate_loss
 
 
 class TestGemmShape:
@@ -135,10 +135,10 @@ class TestReferenceBackpropagation:
         # A tanh output under squared error takes the chain rule through the
         # activation derivative, not the softmax + cross-entropy shortcut.
         spec = MLPSpec(input_size=3, output_size=2, hidden_sizes=(), output_activation="tanh")
-        model = MLP(spec, loss="mean_squared_error", seed=0)
+        model = MLP(spec, seed=0)
         inputs = rng.normal(size=(4, 3))
         targets = rng.normal(size=(4, 2))
-        _, gradients = backpropagate(model, inputs, targets)
+        _, gradients = backpropagate(model, inputs, targets, loss=MeanSquaredError())
 
         weights = model.layers[0].weights
         eps = 1e-6
@@ -147,9 +147,9 @@ class TestReferenceBackpropagation:
             for j in range(2):
                 original = weights[i, j]
                 weights[i, j] = original + eps
-                up = model.evaluate_loss(inputs, targets)
+                up = evaluate_loss(model, inputs, targets, MeanSquaredError())
                 weights[i, j] = original - eps
-                down = model.evaluate_loss(inputs, targets)
+                down = evaluate_loss(model, inputs, targets, MeanSquaredError())
                 weights[i, j] = original
                 numeric[i, j] = (up - down) / (2 * eps)
         np.testing.assert_allclose(gradients[0], numeric, rtol=1e-4, atol=1e-6)
@@ -163,7 +163,7 @@ class TestReferenceBackpropagation:
         for _ in range(30):
             _, gradients = backpropagate(model, x, y)
             optimizer.step(model.parameters(), gradients)
-        final_loss = model.evaluate_loss(x, y)
+        final_loss = evaluate_loss(model, x, y)
         assert final_loss < first_loss
 
     def test_rejects_integer_labels(self, small_mlp_spec, rng):

@@ -6,7 +6,10 @@ against.  These walk the syntax trees of every module under ``repro`` so a
 second trainer cannot come back unnoticed: only ``nn/reference.py`` may
 define or use the scalar names, no module may import it, and no shipped
 model class carries the scalar backward pass (its per-layer ``backward``,
-gradient buffers or training-mode caches).
+gradient buffers or training-mode caches).  The training loss is the
+reference's alone too: no shipped class computes, stores or reports one,
+and only the reference (and the ``repro.nn`` re-exports) imports
+``repro.nn.losses``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import ast
 from pathlib import Path
 
 import repro
+from repro.nn import losses
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 REFERENCE = PACKAGE_ROOT / "nn" / "reference.py"
+NN_EXPORTS = PACKAGE_ROOT / "nn" / "__init__.py"
 
 #: The scalar backward pass, the trainer and optimizers built on it, and
 #: the protocols built on those.
@@ -34,6 +39,8 @@ SCALAR_NAMES = {
     "_train_and_score",
     "evaluate_single_fold",
     "evaluate_kfold",
+    "ReferenceHistory",
+    "evaluate_loss",
 }
 
 
@@ -103,28 +110,43 @@ BACKWARD_ATTRIBUTES = {"backward", "gradients", "grad_weights", "grad_bias", "_l
 PER_MODEL_CLASSES = {"DenseLayer", "MLP"}
 
 
-def _backward_definitions(tree: ast.AST) -> list[str]:
-    """Methods or ``self`` attributes of ``tree``'s classes that hold a backward pass."""
+def _class_definitions(tree: ast.AST, barred_for) -> list[str]:
+    """Members of ``tree``'s classes named in ``barred_for(class name)``.
+
+    A member is a method, a ``self`` attribute assigned anywhere in the
+    class, or a name assigned in the class body (a dataclass field).
+    """
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        barred = BACKWARD_ATTRIBUTES | ({"train_step"} if node.name in PER_MODEL_CLASSES else set())
+        barred = barred_for(node.name)
+        body = {id(statement) for statement in node.body}
         for inner in ast.walk(node):
             if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = inner.name
+                names = [inner.name]
             elif (
                 isinstance(inner, ast.Attribute)
                 and isinstance(inner.ctx, ast.Store)
                 and isinstance(inner.value, ast.Name)
                 and inner.value.id == "self"
             ):
-                name = inner.attr
+                names = [inner.attr]
+            elif isinstance(inner, (ast.Assign, ast.AnnAssign)) and id(inner) in body:
+                targets = inner.targets if isinstance(inner, ast.Assign) else [inner.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
             else:
                 continue
-            if name in barred:
-                found.append(f"{node.name}.{name} (line {inner.lineno})")
+            found += [f"{node.name}.{name} (line {inner.lineno})" for name in names if name in barred]
     return found
+
+
+def _backward_definitions(tree: ast.AST) -> list[str]:
+    """Members of ``tree``'s classes that hold a backward pass."""
+    return _class_definitions(
+        tree,
+        lambda name: BACKWARD_ATTRIBUTES | ({"train_step"} if name in PER_MODEL_CLASSES else set()),
+    )
 
 
 def test_no_shipped_class_defines_a_scalar_backward_pass():
@@ -190,3 +212,69 @@ def test_the_import_resolver_sees_every_import_form():
     assert "repro.nn.reference" not in _imported_modules(
         ast.parse("from ..nn.evaluation import kfold_indices"), path
     )
+
+
+#: What a class would define to compute, store or report a training loss.
+LOSS_ATTRIBUTES = {"train_loss", "final_train_loss", "loss", "evaluate_loss"}
+
+
+def _loss_definitions(tree: ast.AST) -> list[str]:
+    return _class_definitions(tree, lambda name: LOSS_ATTRIBUTES)
+
+
+def _imports_losses(tree: ast.AST, path: Path) -> bool:
+    """Whether ``tree`` imports ``repro.nn.losses`` or a loss name re-exported by ``repro.nn``."""
+    barred = {"repro.nn.losses"} | {f"repro.nn.{name}" for name in losses.__all__}
+    return bool(barred & _imported_modules(tree, path))
+
+
+def test_no_shipped_class_defines_or_records_a_loss():
+    offenders = {}
+    for path in _shipped_modules():
+        if path == REFERENCE:
+            continue
+        found = _loss_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if found:
+            offenders[str(path.relative_to(PACKAGE_ROOT))] = found
+    assert offenders == {}
+
+
+def test_the_loss_guard_sees_every_form():
+    for source in (
+        "class TrainingHistory:\n    train_loss: list = []",
+        "class TrainingHistory:\n    @property\n    def final_train_loss(self): ...",
+        "class MLP:\n    def __init__(self):\n        self.loss = None",
+        "class MLP:\n    def evaluate_loss(self, x, y): ...",
+        "class Result:\n    loss = 0.0",
+    ):
+        assert _loss_definitions(ast.parse(source)), source
+    # A local variable of a method is not a member.
+    assert _loss_definitions(ast.parse("class A:\n    def f(self):\n        loss = 1")) == []
+    tree = ast.parse(REFERENCE.read_text())
+    assert {"train_loss", "final_train_loss"} <= {
+        name.split(" ")[0].split(".")[1] for name in _loss_definitions(tree)
+    }
+
+
+def test_only_the_reference_imports_the_losses():
+    importers = [
+        str(path.relative_to(PACKAGE_ROOT))
+        for path in _shipped_modules()
+        if path not in (REFERENCE, NN_EXPORTS)
+        and _imports_losses(ast.parse(path.read_text(), filename=str(path)), path)
+    ]
+    assert importers == []
+    assert _imports_losses(ast.parse(REFERENCE.read_text()), REFERENCE)
+
+
+def test_the_loss_import_guard_sees_every_form():
+    path = PACKAGE_ROOT / "nn" / "mlp.py"
+    for source in (
+        "from .losses import Loss, get_loss",
+        "from . import losses",
+        "import repro.nn.losses",
+        "from repro.nn import get_loss",
+        "from ..nn import CategoricalCrossEntropy",
+    ):
+        assert _imports_losses(ast.parse(source), path), source
+    assert not _imports_losses(ast.parse("from .activations import Softmax"), path)

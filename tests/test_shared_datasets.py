@@ -28,8 +28,7 @@ from repro.datasets import (
 )
 from repro.datasets import shared as shared_module
 from repro.datasets.prepared import PreparedDataset
-from repro.nn.evaluation import kfold_indices
-from repro.nn.preprocessing import StandardScaler, one_hot
+from repro.nn.preprocessing import StandardScaler
 
 
 @pytest.fixture(autouse=True)
@@ -211,29 +210,6 @@ class TestPreparedDataset:
         assert np.array_equal(
             prepared.standardized_test_features, scratch.transform(dataset.test_features)
         )
-        assert np.array_equal(
-            prepared.one_hot_labels, one_hot(dataset.labels, dataset.num_classes)
-        )
-
-    def test_one_hot_slices_match_sliced_encoding(self):
-        dataset = _dataset(seed=9)
-        prepared = PreparedDataset(dataset)
-        indices = np.asarray([3, 1, 17, 40])
-        assert np.array_equal(
-            prepared.one_hot_labels[indices],
-            one_hot(dataset.labels[indices], dataset.num_classes),
-        )
-
-    def test_fold_indices_memoized_and_equal(self):
-        dataset = _dataset(seed=10, pre_split=False)
-        prepared = PreparedDataset(dataset)
-        folds = prepared.fold_indices(5, seed=13)
-        assert folds is prepared.fold_indices(5, seed=13)
-        scratch = kfold_indices(dataset.num_samples, 5, seed=13)
-        for (train_a, test_a), (train_b, test_b) in zip(folds, scratch):
-            assert np.array_equal(train_a, train_b)
-            assert np.array_equal(test_a, test_b)
-        assert prepared.fold_indices(5, seed=14) is not folds
 
     def test_prepare_dataset_memoizes_per_object(self):
         dataset = _dataset(seed=11)
