@@ -146,12 +146,6 @@ class SearchHistory(Callback):
             return float("nan")
         return max(record.evaluation.accuracy for record in self.records)
 
-    def best_record_by(self, extractor) -> HistoryRecord:
-        """The record maximizing an arbitrary extractor function."""
-        if not self.records:
-            raise ValueError("history is empty")
-        return max(self.records, key=lambda record: extractor(record))
-
     def accuracy_throughput_series(self, device: str = "fpga") -> list[tuple[float, float]]:
         """(accuracy, outputs/s) pairs for every evaluation — Figure 2 raw data."""
         if device not in ("fpga", "gpu"):

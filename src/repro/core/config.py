@@ -626,11 +626,6 @@ class ServiceConfig(JSONConfig):
         """The queue database location, derived from ``data_dir`` when unset."""
         return Path(self.queue_path) if self.queue_path else Path(self.data_dir) / "queue.sqlite"
 
-    @property
-    def jobs_dir(self) -> Path:
-        """Root of the per-job artifact directories."""
-        return Path(self.data_dir) / "jobs"
-
 
 @dataclass(frozen=True)
 class ECADConfig(JSONConfig):

@@ -43,6 +43,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _memoized_canonical_json(half: "MLPGenome | HardwareGenome") -> str:
+    fragment = half.__dict__.get("_canonical_json")
+    if fragment is None:
+        fragment = json.dumps(half.to_dict(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(half, "_canonical_json", fragment)
+    return fragment
+
+
 @dataclass(frozen=True)
 class MLPGenome:
     """Neural-architecture half of a co-design candidate.
@@ -107,6 +115,15 @@ class MLPGenome:
             "use_bias": self.use_bias,
         }
 
+    def canonical_json(self) -> str:
+        """Compact ``sort_keys`` JSON of :meth:`to_dict`, computed once.
+
+        Kept on the instance outside the dataclass fields, like
+        :meth:`CoDesignGenome.cache_key`, so a bred child that shares this
+        half reuses it.
+        """
+        return _memoized_canonical_json(self)
+
     @classmethod
     def from_dict(cls, data: dict) -> "MLPGenome":
         """Inverse of :meth:`to_dict`."""
@@ -155,6 +172,10 @@ class HardwareGenome:
     def to_dict(self) -> dict:
         """JSON-serializable representation."""
         return {"grid": self.grid.to_dict(), "batch_size": self.batch_size}
+
+    def canonical_json(self) -> str:
+        """Compact ``sort_keys`` JSON of :meth:`to_dict`, computed once."""
+        return _memoized_canonical_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "HardwareGenome":
@@ -208,13 +229,19 @@ class CoDesignGenome:
 
         The ECAD system "caches similar configurations and avoids reevaluating
         them" (Table III note); the key is a SHA-256 over the canonical JSON
-        form, so any two genomes with identical parameters collide on purpose.
-        The genome is immutable, so the key is computed once and kept on the
+        form (``json.dumps(to_dict(), sort_keys=True, separators=(",", ":"))``),
+        so any two genomes with identical parameters collide on purpose.  The
+        JSON is joined from the halves' memoized fragments in key order.  The
+        genome is immutable, so the key is computed once and kept on the
         instance (outside the dataclass fields: ``==`` and ``hash`` ignore it).
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
-            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            canonical = (
+                f'{{"gpu_batch_size":{self.gpu_batch_size},'
+                f'"hardware":{self.hardware.canonical_json()},'
+                f'"mlp":{self.mlp.canonical_json()}}}'
+            )
             key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_cache_key", key)
         return key

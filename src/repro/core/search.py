@@ -99,17 +99,6 @@ class SearchResult:
         """Highest accuracy achieved by any evaluated candidate."""
         return self.best_accuracy_candidate.accuracy
 
-    @property
-    def objective_frontier(self) -> list[CandidateEvaluation]:
-        """Frontier over the run's configured objectives (archive-backed).
-
-        Falls back to the accuracy-vs-FPGA-throughput ``frontier`` when no
-        archive was streamed (e.g. results reconstructed from history only).
-        """
-        if self.frontier_archive is not None:
-            return self.frontier_archive.frontier()
-        return list(self.frontier)
-
     def pareto_rows(self, count: int = 2) -> list[CandidateEvaluation]:
         """Representative frontier rows, Table-IV style (best accuracy first)."""
         points = [

@@ -76,9 +76,28 @@ class RouletteWheelSelection(SelectionScheme):
 
     name = "roulette"
 
+    def __init__(self) -> None:
+        #: Wheel memo for the last-seen population state, keyed like
+        #: :class:`NSGA2Selection`'s ranking memo on the members' fitness
+        #: results; ``None`` when the wheel is flat and the pick is uniform.
+        self._cache_key: tuple[FitnessResult, ...] = ()
+        self._cdf: list[float] | None = None
+
     def select(self, population: Population, rng: np.random.Generator) -> Individual:
         if len(population) == 0:
             raise SearchError("cannot select from an empty population")
+        key = tuple(member.fitness for member in population.members)
+        if len(key) != len(self._cache_key) or any(map(is_not, key, self._cache_key)):
+            self._cdf = self._wheel_cdf(population)
+            self._cache_key = key
+        if self._cdf is None:
+            index = int(rng.integers(0, len(population)))
+        else:
+            index = pick_weighted(rng, self._cdf)
+        return population.members[index]
+
+    @staticmethod
+    def _wheel_cdf(population: Population) -> list[float] | None:
         fitness = np.asarray(
             [
                 member.fitness_value if np.isfinite(member.fitness_value) else 0.0
@@ -89,11 +108,8 @@ class RouletteWheelSelection(SelectionScheme):
         shifted = fitness - fitness.min()
         total = shifted.sum()
         if total <= 0:
-            index = int(rng.integers(0, len(population)))
-        else:
-            probabilities = shifted / total
-            index = pick_weighted(rng, weights_cdf(probabilities))
-        return population.members[index]
+            return None
+        return weights_cdf(shifted / total)
 
 
 class RankSelection(SelectionScheme):

@@ -106,11 +106,6 @@ class FPGADevice:
         return self.ddr_banks * self.ddr_bandwidth_gbps_per_bank
 
     @property
-    def total_bandwidth_bytes_per_second(self) -> float:
-        """Aggregate DRAM bandwidth in bytes/s."""
-        return self.total_bandwidth_gbps * 1e9
-
-    @property
     def on_chip_memory_bytes(self) -> int:
         """Total embedded SRAM capacity in bytes (20 kbit per M20K block)."""
         return int(self.m20k_count * 20_480 / 8)

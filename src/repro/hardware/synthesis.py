@@ -69,11 +69,6 @@ class SynthesisReport:
             and self.dsp_utilization <= 1.0
         )
 
-    @property
-    def meets_target_clock(self) -> bool:
-        """Whether the estimated Fmax reaches the device's target overlay clock."""
-        return self.fmax_mhz >= 0.0  # populated by SynthesisModel.estimate
-
     def to_dict(self) -> dict:
         """Flat dictionary form used by reports."""
         return {

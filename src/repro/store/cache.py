@@ -125,8 +125,10 @@ class StoreBackedCache(EvaluationCache):
             return None, True
         # Publish through the base class: waiters wake, memory tier fills,
         # and no write-behind entry is queued for a row the store already has.
+        # The hit is already a frozen from_cache record, so the caller and the
+        # memory tier share it.
         super().complete(genome, stored)
-        return stored.as_cache_copy(), False
+        return stored, False
 
     def _load(self, genome: CoDesignGenome) -> CandidateEvaluation | None:
         try:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 from ..core.candidate import CandidateEvaluation
 from ..core.errors import StoreError
 from ..core.genome import CoDesignGenome
-from .serialize import dumps, loads
+from .serialize import StoredEvaluation, dumps, loads
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -119,8 +119,8 @@ class StoreRepository(Protocol):
     ) -> CandidateEvaluation | None:
         """The stored evaluation for one candidate, or None when absent.
 
-        A row whose genome equals ``genome`` carries that object (see
-        :func:`~repro.store.serialize.loads`).
+        With ``genome``, a hit is served from the row and carries that
+        object (see :class:`~repro.store.serialize.StoredEvaluation`).
         """
         ...
 
@@ -341,19 +341,26 @@ class SQLiteRepository:
     def get(
         self, problem_digest: str, genome_key: str, genome: CoDesignGenome | None = None
     ) -> CandidateEvaluation | None:
-        """The stored evaluation for one candidate, or None when absent."""
+        """The stored evaluation for one candidate, or None when absent.
+
+        With ``genome``, a hit is a :class:`~repro.store.serialize.StoredEvaluation`
+        served from the row's columns; its payload decodes on first need.
+        Without it, the payload is decoded here.
+        """
         with self._lock:
             try:
                 row = self._connection.execute(
-                    "SELECT payload FROM evaluations "
-                    "WHERE problem_digest = ? AND genome_key = ?",
+                    "SELECT accuracy, fpga_outputs_per_second, evaluation_seconds, payload "
+                    "FROM evaluations WHERE problem_digest = ? AND genome_key = ?",
                     (str(problem_digest), str(genome_key)),
                 ).fetchone()
             except sqlite3.Error as exc:
                 raise StoreError(f"cannot read evaluation store {self.path}: {exc}") from exc
         if row is None:
             return None
-        return loads(row[0], genome)
+        if genome is None:
+            return loads(row[3])
+        return StoredEvaluation(genome, problem_digest, genome_key, *row)
 
     def best(self, problem_digest: str, limit: int) -> list[CandidateEvaluation]:
         """The highest-accuracy stored candidates of one problem, best first."""

@@ -189,8 +189,12 @@ class EvaluationStore:
         """The stored evaluation for one candidate, or None when absent.
 
         ``genome`` is the genome ``genome_key`` was taken from, when the
-        caller has it: a stored row whose genome equals it reuses that object
-        instead of decoding a copy.
+        caller has it.  Then a hit is a
+        :class:`~repro.store.serialize.StoredEvaluation` flagged
+        ``from_cache=True``: accuracy, FPGA throughput and evaluation seconds
+        come from the row's columns, and the payload is decoded (and checked
+        against the row and ``genome``) only when another field is read.
+        Without ``genome`` the payload is decoded at once.
         """
         return self._repository.get(problem_digest, genome_key, genome)
 

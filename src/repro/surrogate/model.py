@@ -69,11 +69,6 @@ class ConformalRegressor:
         """Whether :meth:`fit` succeeded with enough rows to calibrate."""
         return self._weights is not None and math.isfinite(self._quantile)
 
-    @property
-    def interval_half_width(self) -> float:
-        """The calibrated half-width added to every prediction."""
-        return self._quantile
-
     def fit(self, features: np.ndarray, targets: np.ndarray) -> bool:
         """Fit on ``features`` (n × d) and ``targets`` (n), then calibrate.
 

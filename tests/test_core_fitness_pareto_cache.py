@@ -461,6 +461,42 @@ class TestSelection:
             scheme.select(population, rng)
         assert built == [5, 6]
 
+    def test_roulette_builds_one_wheel_per_fitness_state(self, rng, monkeypatch):
+        from repro.core.fitness import FitnessResult
+
+        population = self._population()
+        scheme = RouletteWheelSelection()
+        built = []
+        original = RouletteWheelSelection._wheel_cdf
+
+        def counting(population):
+            built.append(tuple(member.fitness_value for member in population.members))
+            return original(population)
+
+        monkeypatch.setattr(RouletteWheelSelection, "_wheel_cdf", staticmethod(counting))
+        for _ in range(20):
+            scheme.select(population, rng)
+        # A rescore replaces a member's result: one new wheel, equal values or not.
+        member = population.members[0]
+        member.fitness = FitnessResult(fitness=member.fitness_value, objectives={})
+        for _ in range(20):
+            scheme.select(population, rng)
+        population.add(_individual(48, 0.95, 0.95))
+        for _ in range(20):
+            scheme.select(population, rng)
+        assert len(built) == 3
+        assert built[0] == built[1]
+        assert scheme._cdf == original(population)
+
+    def test_roulette_draws_uniformly_from_a_flat_wheel(self, rng):
+        population = Population(capacity=3)
+        for neurons in (8, 16, 24):
+            population.add(_individual(neurons, 0.5, 0.5))
+        scheme = RouletteWheelSelection()
+        picks = {scheme.select(population, rng).genome for _ in range(60)}
+        assert scheme._cdf is None
+        assert len(picks) == 3
+
     def test_select_pair_returns_distinct_parents(self, rng):
         population = self._population()
         first, second = TournamentSelection().select_pair(population, rng)

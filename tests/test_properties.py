@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.genome import CoDesignSearchSpace, HardwareSearchSpace, MLPSearchSpace
+from repro.core.crossover import CoDesignCrossover
+from repro.core.genome import (
+    CoDesignGenome,
+    CoDesignSearchSpace,
+    HardwareGenome,
+    HardwareSearchSpace,
+    MLPGenome,
+    MLPSearchSpace,
+)
 from repro.core.mutation import CoDesignMutator
 from repro.core.pareto import dominates, pareto_frontier_indices
 from repro.hardware.device import ARRIA10_GX1150
@@ -15,7 +26,7 @@ from repro.hardware.gemm import block_gemm
 from repro.hardware.gpu_model import GPUPerformanceModel
 from repro.hardware.device import TITAN_X
 from repro.hardware.systolic import GridConfig
-from repro.nn.activations import get_activation
+from repro.nn.activations import ACTIVATIONS, get_activation
 from repro.nn.layers import GemmShape
 from repro.nn.mlp import MLPSpec
 from repro.nn.preprocessing import one_hot
@@ -104,7 +115,59 @@ class TestParetoProperties:
                     assert not dominates(b, a)
 
 
+@st.composite
+def _genomes(draw) -> CoDesignGenome:
+    depth = draw(st.integers(min_value=0, max_value=4))
+    mlp = MLPGenome(
+        hidden_layers=tuple(
+            draw(st.lists(st.integers(min_value=1, max_value=100_000), min_size=depth, max_size=depth))
+        ),
+        activations=tuple(
+            draw(st.lists(st.sampled_from(sorted(ACTIVATIONS)), min_size=depth, max_size=depth))
+        ),
+        use_bias=draw(st.booleans()),
+    )
+    hardware = HardwareGenome(
+        grid=draw(grid_strategy), batch_size=draw(st.integers(min_value=1, max_value=1 << 40))
+    )
+    return CoDesignGenome(
+        mlp=mlp, hardware=hardware, gpu_batch_size=draw(st.integers(min_value=1, max_value=1 << 40))
+    )
+
+
+def _reference_cache_key(genome: CoDesignGenome) -> str:
+    """The key as every stored row was written: SHA-256 of the ``json.dumps`` form."""
+    canonical = json.dumps(genome.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 class TestGenomeProperties:
+    @SETTINGS
+    @given(genome=_genomes())
+    def test_cache_key_equals_the_json_dumps_form(self, genome):
+        assert genome.cache_key() == _reference_cache_key(genome)
+
+    @SETTINGS
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_bred_children_sharing_a_half_keep_the_json_dumps_key(self, seed):
+        space = CoDesignSearchSpace()
+        rng = np.random.default_rng(seed)
+        mutator = CoDesignMutator(space=space, device=ARRIA10_GX1150)
+        crossover = CoDesignCrossover(swap_probability=0.5, device=ARRIA10_GX1150)
+        genomes = [space.random_genome(rng, device=ARRIA10_GX1150) for _ in range(4)]
+        for genome in genomes:
+            genome.cache_key()  # memoize the parents' fragments first
+        for _ in range(12):
+            first, second = (genomes[int(i)] for i in rng.integers(0, len(genomes), size=2))
+            child = mutator.mutate(crossover.recombine(first, second, rng), rng)
+            assert child.cache_key() == _reference_cache_key(child)
+            genomes.append(child)
+        # One half swapped in a copy: the other half (and its fragment) is shared.
+        parent, donor = genomes[0], genomes[1]
+        child = parent.with_hardware(donor.hardware)
+        assert child.mlp is parent.mlp
+        assert child.cache_key() == _reference_cache_key(child)
+
     @SETTINGS
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_genomes_always_inside_space_and_feasible(self, seed):
@@ -114,8 +177,6 @@ class TestGenomeProperties:
         assert space.contains(genome)
         assert genome.hardware.fits(ARRIA10_GX1150)
         # serialization round-trip preserves identity and cache key
-        from repro.core.genome import CoDesignGenome
-
         clone = CoDesignGenome.from_dict(genome.to_dict())
         assert clone == genome
         assert clone.cache_key() == genome.cache_key()

@@ -7,12 +7,18 @@ cache tier, warm-started searches, and concurrent writes from two processes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
+import pickle
 import sqlite3
+import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import EvaluationCache
 from repro.core.candidate import CandidateEvaluation
@@ -31,7 +37,13 @@ from repro.store import (
     dataset_fingerprint,
     problem_digest,
 )
-from repro.store.serialize import evaluation_from_payload, evaluation_to_payload
+from repro.store import serialize
+from repro.store.serialize import (
+    StoredEvaluation,
+    dumps,
+    evaluation_from_payload,
+    evaluation_to_payload,
+)
 
 from repro.hardware.results import HardwareMetrics
 
@@ -382,6 +394,299 @@ class TestStoreBackedCache:
         cache.flush()
         assert store.count() == 0
         store.close()
+
+
+def _rich_evaluation(genome, evaluation_seconds=2.25):
+    """An evaluation with every deferred field set to a non-default value."""
+    base = make_fake_evaluation(genome, 0.87654321, fpga_outputs=1.23e6, gpu_outputs=4.56e6)
+    return CandidateEvaluation(
+        genome=genome,
+        accuracy=base.accuracy,
+        accuracy_std=0.0123,
+        parameter_count=base.parameter_count,
+        fpga_metrics=base.fpga_metrics,
+        gpu_metrics=base.gpu_metrics,
+        synthesis=SynthesisReport(
+            device_name="arria10", alm_used=1000, alm_utilization=0.1,
+            m20k_used=50, m20k_utilization=0.05, dsp_used=64,
+            dsp_utilization=0.04, fmax_mhz=250.0, power_watts=30.0,
+        ),
+        train_seconds=1.5,
+        evaluation_seconds=evaluation_seconds,
+        extras={"simulation": {"folds": 3}},
+    )
+
+
+def _decoded(record: StoredEvaluation) -> bool:
+    """Whether a served record has decoded its payload."""
+    return "_payload_record" in record.__dict__
+
+
+class TestServedRecord:
+    """A store hit looked up with its genome is served from its row."""
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_equals_the_decoded_cache_copy(self, tmp_path, sample_genome, shards):
+        evaluation = _rich_evaluation(sample_genome)
+        store = EvaluationStore(tmp_path / "store", shards=shards)
+        store.put(PROBLEM, evaluation)
+        served = store.get(PROBLEM, sample_genome.cache_key(), genome=sample_genome)
+        expected = evaluation_from_payload(
+            json.loads(dumps(evaluation)), sample_genome
+        ).as_cache_copy()
+        assert isinstance(served, StoredEvaluation)
+        assert served.genome is sample_genome
+        assert served.from_cache and served.error == "" and not served.failed
+        assert served.accuracy == expected.accuracy
+        assert served.fpga_outputs_per_second == expected.fpga_outputs_per_second
+        assert served.evaluation_seconds == expected.evaluation_seconds
+        assert not _decoded(served)  # the columns answered everything so far
+        assert pickle.loads(pickle.dumps(served)) == expected
+        assert not _decoded(served)
+        assert served == expected and expected == served and not served != expected
+        assert served.summary() == expected.summary()
+        assert _decoded(served)
+        assert pickle.loads(pickle.dumps(served)) == expected
+        assert served == store.get(PROBLEM, sample_genome.cache_key(), genome=sample_genome)
+        different = CandidateEvaluation(
+            genome=sample_genome, accuracy=served.accuracy, from_cache=True,
+            evaluation_seconds=served.evaluation_seconds,
+        )
+        assert served != different and different != served
+        store.close()
+
+    def test_as_cache_copy_does_not_decode(self, tmp_path, sample_genome):
+        store = EvaluationStore(tmp_path / "store.sqlite")
+        store.put(PROBLEM, _rich_evaluation(sample_genome))
+        cache = StoreBackedCache(store, PROBLEM)
+        served, owner = cache.lookup_or_reserve(sample_genome)
+        assert not owner and isinstance(served, StoredEvaluation)
+        # No second copy: the memory tier holds the served record itself.
+        assert cache.values() == [served] and cache.values()[0] is served
+        again, _ = cache.lookup_or_reserve(sample_genome)
+        copy = served.as_cache_copy()
+        assert again is not served and copy.from_cache
+        assert not any(_decoded(record) for record in (served, again, copy))
+        assert copy == served == again
+        store.close()
+
+    def test_concurrent_first_reads_decode_to_equal_values(
+        self, tmp_path, sample_genome, monkeypatch
+    ):
+        threads = 4
+        store = EvaluationStore(tmp_path / "store.sqlite")
+        store.put(PROBLEM, _rich_evaluation(sample_genome))
+        served = store.get(PROBLEM, sample_genome.cache_key(), genome=sample_genome)
+        barrier = threading.Barrier(threads, timeout=10)
+        decodes = []
+        original_loads = serialize.loads
+
+        def overlapping_loads(payload, genome=None):
+            barrier.wait()  # every reader is inside its own first decode
+            decodes.append(genome)
+            return original_loads(payload, genome)
+
+        monkeypatch.setattr(serialize, "loads", overlapping_loads)
+        results = [None] * threads
+
+        def read(index):
+            results[index] = (served.fpga_metrics, served.synthesis, served.extras)
+
+        workers = [threading.Thread(target=read, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=20)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(decodes) == threads
+        assert all(result == results[0] for result in results)
+        # One decoded record was published; every reader now sees it.
+        assert served.payload_record() is served.payload_record()
+        assert results[0] == (served.fpga_metrics, served.synthesis, served.extras)
+        store.close()
+
+    def _raw_row(self, genome, payload, key=None, accuracy=None, fpga=None, seconds=None):
+        data = json.loads(payload) if isinstance(payload, str) else None
+        return (
+            PROBLEM,
+            key or genome.cache_key(),
+            data["accuracy"] if accuracy is None else accuracy,
+            data["fpga_metrics"]["outputs_per_second"] if fpga is None else fpga,
+            data["evaluation_seconds"] if seconds is None else seconds,
+            1.0,
+            payload,
+        )
+
+    @pytest.mark.parametrize(
+        "case, problem",
+        [
+            ("genome", "genome"),
+            ("accuracy", "accuracy"),
+            ("fpga", "fpga_outputs_per_second"),
+            ("seconds", "evaluation_seconds"),
+            ("error", "error"),
+            ("not_json", "not valid JSON"),
+            ("no_accuracy", "malformed"),
+        ],
+    )
+    def test_disagreeing_or_malformed_payload_raises_on_first_decode(
+        self, tmp_path, sample_genome, small_search_space, case, problem
+    ):
+        evaluation = _rich_evaluation(sample_genome)
+        payload = dumps(evaluation)
+        row = self._raw_row(sample_genome, payload)
+        other = _evaluations(small_search_space, 1)[0]
+        if case == "genome":
+            other_payload = dumps(_rich_evaluation(other.genome))
+            row = self._raw_row(sample_genome, other_payload, key=sample_genome.cache_key())
+        elif case == "accuracy":
+            row = self._raw_row(sample_genome, payload, accuracy=0.5)
+        elif case == "fpga":
+            row = self._raw_row(sample_genome, payload, fpga=1.0)
+        elif case == "seconds":
+            row = self._raw_row(sample_genome, payload, seconds=9.0)
+        elif case == "error":
+            data = json.loads(payload)
+            data["error"] = "worker exploded"
+            row = self._raw_row(sample_genome, json.dumps(data))
+        elif case == "not_json":
+            row = row[:6] + ("{not json",)
+        else:
+            data = json.loads(payload)
+            del data["accuracy"]
+            row = row[:6] + (json.dumps(data),)
+        store = EvaluationStore(tmp_path / "store.sqlite")
+        store.put_raw_rows([row])
+        served = store.get(PROBLEM, sample_genome.cache_key(), genome=sample_genome)
+        assert served is not None  # the row itself reads; the payload waits
+        with pytest.raises(StoreError, match=problem) as raised:
+            served.extras
+        message = str(raised.value)
+        assert PROBLEM in message and sample_genome.cache_key() in message
+        store.close()
+
+    def test_lookup_without_a_genome_decodes_at_once(self, tmp_path, sample_genome):
+        evaluation = _rich_evaluation(sample_genome)
+        store = EvaluationStore(tmp_path / "store.sqlite")
+        store.put(PROBLEM, evaluation)
+        back = store.get(PROBLEM, sample_genome.cache_key())
+        assert type(back) is CandidateEvaluation and not back.from_cache
+        assert back.as_cache_copy() == store.get(
+            PROBLEM, sample_genome.cache_key(), genome=sample_genome
+        )
+        store.close()
+
+    def test_old_store_files_read_unchanged(self, tmp_path, sample_genome, small_search_space):
+        path = tmp_path / "store.sqlite"
+        evaluations = [_rich_evaluation(sample_genome)] + _evaluations(small_search_space, 3)
+        # An older writer left out the optional payload keys; they default.
+        sparse = json.loads(dumps(evaluations[1]))
+        for optional in ("accuracy_std", "parameter_count", "gpu_metrics", "synthesis",
+                         "train_seconds", "error", "extras"):
+            del sparse[optional]
+        writer = EvaluationStore(path)
+        writer.put_many(PROBLEM, [evaluations[0]] + evaluations[2:])
+        writer.put_raw_rows([self._raw_row(evaluations[1].genome, json.dumps(sparse))])
+        writer.close()
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        with EvaluationStore(path, readonly=True) as store:
+            for evaluation in evaluations:
+                key = evaluation.genome.cache_key()
+                served = store.get(PROBLEM, key, genome=evaluation.genome)
+                assert served == store.get(PROBLEM, key).as_cache_copy()
+                assert served.summary() == store.get(PROBLEM, key).as_cache_copy().summary()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+    def test_every_run_reads_through_to_the_store(self, tmp_path, sample_genome):
+        store = EvaluationStore(tmp_path / "store.sqlite")
+        store.put(PROBLEM, _rich_evaluation(sample_genome))
+        for _ in range(2):  # two runs, two caches: no tier outlives its run
+            cache = StoreBackedCache(store, PROBLEM)
+            served, owner = cache.lookup_or_reserve(sample_genome)
+            assert not owner and served is not None
+            assert cache.store_statistics.hits == 1
+        store.close()
+
+
+_SECONDS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308, allow_nan=False),
+    st.sampled_from([5e-324, 1.1125369292536007e-308, 1.7976931348623157e308, 0.0]),
+)
+
+
+def _float64_bytes(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestStoredColumns:
+    """The typed columns a hit is served from equal the payload's values."""
+
+    # The search space fixture is frozen, so sharing it across examples is safe.
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e308)),
+                _SECONDS,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_columns_equal_the_payload_through_a_shard_round_trip(
+        self, tmp_path_factory, small_search_space, rows, seed
+    ):
+        from repro.store import migrate_store
+
+        root = tmp_path_factory.mktemp("columns")
+        genomes = [e.genome for e in _evaluations(small_search_space, len(rows), seed=seed)]
+        evaluations = [
+            CandidateEvaluation(
+                genome=genome,
+                accuracy=accuracy,
+                fpga_metrics=None if outputs is None else HardwareMetrics(
+                    device_name="fpga", batch_size=1024, potential_gflops=1.0,
+                    effective_gflops=1.0, total_time_seconds=1.0,
+                    outputs_per_second=outputs, latency_seconds=0.0, efficiency=0.5,
+                ),
+                evaluation_seconds=seconds,
+            )
+            for genome, (accuracy, outputs, seconds) in zip(genomes, rows)
+        ]
+        single = root / "single.sqlite"
+        with EvaluationStore(single) as store:
+            assert store.put_many(PROBLEM, evaluations) == len(evaluations)
+            written = list(store.iter_raw_rows())
+        migrate_store(single, shards=4, output_path=root / "sharded")
+        with EvaluationStore(root / "sharded") as sharded, EvaluationStore(
+            root / "back.sqlite"
+        ) as back:
+            back.put_raw_rows(sharded.iter_raw_rows())
+            returned = list(back.iter_raw_rows())
+        assert returned == written
+        by_key = {e.genome.cache_key(): e for e in evaluations}
+        for _, key, accuracy, fpga, seconds, _, payload in written + returned:
+            data = json.loads(payload)
+            from_payload = (
+                data["accuracy"],
+                data["fpga_metrics"]["outputs_per_second"] if data["fpga_metrics"] else 0.0,
+                data["evaluation_seconds"],
+            )
+            original = by_key[key]
+            from_record = (
+                original.accuracy,
+                original.fpga_outputs_per_second,
+                original.evaluation_seconds,
+            )
+            for column, value, source in zip((accuracy, fpga, seconds), from_payload, from_record):
+                assert type(column) is float
+                assert _float64_bytes(column) == _float64_bytes(value) == _float64_bytes(source)
 
 
 def _run_engine(space, evaluator, cache, seed=3, population=6, budget=18, initial=None):
