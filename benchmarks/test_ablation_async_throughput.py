@@ -24,7 +24,8 @@ import pytest
 
 from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EngineResult, EvolutionaryEngine
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignGenome, CoDesignSearchSpace
 from repro.hardware.device import ARRIA10_GX1150
 from repro.hardware.results import HardwareMetrics
@@ -38,7 +39,7 @@ PARALLELISM = 4
 #: Large enough to dominate the main thread's per-completion bookkeeping even
 #: on slow CI runners, so the >=2x assertion has a wide margin.
 EVAL_LATENCY_SECONDS = 0.02
-OBJECTIVES = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+OBJECTIVES = [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
 
 
 def slow_synthetic_evaluator(genome: CoDesignGenome) -> CandidateEvaluation:

@@ -33,7 +33,8 @@ import pytest
 
 from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EngineResult, EvolutionaryEngine
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignGenome, CoDesignSearchSpace, HardwareGenome, MLPGenome
 from repro.hardware.device import ARRIA10_GX1150
 from repro.hardware.results import HardwareMetrics
@@ -54,7 +55,7 @@ EVAL_LATENCY_SECONDS = 0.02
 #: Marginal per-candidate cost inside one fused batch: the incremental GEMM
 #: rows added to an already-running batched training pass.
 BATCH_MARGINAL_SECONDS = 0.001
-OBJECTIVES = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+OBJECTIVES = [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
 
 
 def _score(genome: CoDesignGenome) -> CandidateEvaluation:

@@ -27,7 +27,8 @@ import pytest
 
 from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EvolutionaryEngine
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignGenome, CoDesignSearchSpace, MLPSearchSpace
 from repro.core.pareto import evaluation_frontier
 from repro.hardware.results import HardwareMetrics
@@ -80,7 +81,7 @@ def _timed_search(evaluations: int) -> tuple[float, dict]:
     engine = EvolutionaryEngine(
         space=SPACE,
         evaluator=zero_cost_evaluator,
-        fitness=FitnessEvaluator([FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]),
+        fitness=FitnessEvaluator([ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]),
         config=EngineConfig(population_size=24, max_evaluations=evaluations, seed=0),
     )
     start = time.perf_counter()

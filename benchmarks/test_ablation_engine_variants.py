@@ -21,7 +21,8 @@ import pytest
 
 from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EvolutionaryEngine
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignGenome, CoDesignSearchSpace
 from repro.core.search import RandomSearch
 from repro.hardware.device import ARRIA10_GX1150
@@ -30,7 +31,7 @@ from repro.hardware.results import HardwareMetrics
 from conftest import emit_table
 
 BUDGET = 120
-OBJECTIVES = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+OBJECTIVES = [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
 
 
 def synthetic_evaluator(genome: CoDesignGenome) -> CandidateEvaluation:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from repro.analysis.reporting import format_table
 from repro.core.engine import EngineConfig, EvolutionaryEngine
-from repro.core.fitness import FitnessEvaluator, FitnessObjective, register_objective
+from repro.core.fitness import FitnessEvaluator
 from repro.core.genome import CoDesignSearchSpace, HardwareSearchSpace, MLPSearchSpace
+from repro.core.objectives import ObjectiveSpec, register_objective
 from repro.datasets.registry import load_dataset
 from repro.hardware.device import FPGADevice, TITAN_X
 from repro.hardware.systolic import GridSearchSpace
@@ -88,9 +89,9 @@ def main() -> None:
 
     fitness = FitnessEvaluator(
         [
-            FitnessObjective.accuracy(weight=1.0),
-            FitnessObjective(name="latency_per_parameter", maximize=False, weight=0.5),
-            FitnessObjective.fpga_throughput(weight=0.5),
+            ObjectiveSpec.accuracy(weight=1.0),
+            ObjectiveSpec(name="latency_per_parameter", maximize=False, weight=0.5),
+            ObjectiveSpec.fpga_throughput(weight=0.5),
         ]
     )
     engine = EvolutionaryEngine(

@@ -20,14 +20,7 @@ from .errors import (
     InfeasibleHardwareError,
     SearchError,
 )
-from .fitness import (
-    FitnessEvaluator,
-    FitnessObjective,
-    FitnessResult,
-    available_objectives,
-    get_objective,
-    register_objective,
-)
+from .fitness import FitnessEvaluator, FitnessResult
 from .genome import (
     CoDesignGenome,
     CoDesignSearchSpace,
@@ -37,7 +30,8 @@ from .genome import (
     MLPSearchSpace,
 )
 from .mutation import CoDesignMutator, MutationConfig
-from .pareto import ParetoPoint, dominates, knee_point, make_points, pareto_frontier, pareto_frontier_indices, top_tradeoff_points
+from .objectives import ObjectiveSpec, available_objectives, get_objective, register_objective
+from .pareto import ParetoPoint, knee_point, make_points, pareto_frontier, pareto_frontier_indices, top_tradeoff_points
 from .population import Individual, Population
 from .search import CoDesignSearch, RandomSearch, SearchResult
 from .selection import (
@@ -77,7 +71,7 @@ __all__ = [
     "InfeasibleHardwareError",
     "SearchError",
     "FitnessEvaluator",
-    "FitnessObjective",
+    "ObjectiveSpec",
     "FitnessResult",
     "available_objectives",
     "get_objective",
@@ -91,7 +85,6 @@ __all__ = [
     "CoDesignMutator",
     "MutationConfig",
     "ParetoPoint",
-    "dominates",
     "knee_point",
     "make_points",
     "pareto_frontier",

@@ -31,9 +31,9 @@ from ..hardware.device import FPGADevice, GPUDevice, fpga_device, gpu_device
 from ..nn.training import TrainingConfig
 from .engine import EngineConfig
 from .errors import ConfigurationError
-from .fitness import FitnessObjective
 from .genome import CoDesignSearchSpace, HardwareSearchSpace, MLPSearchSpace
 from .mutation import MutationConfig
+from .objectives import ObjectiveSpec
 
 __all__ = [
     "JSONConfig",
@@ -348,13 +348,13 @@ class OptimizationTargetConfig(JSONConfig):
         )
         self.to_constraints()  # validate eagerly
 
-    def to_fitness_objectives(self) -> list[FitnessObjective]:
+    def to_fitness_objectives(self) -> list[ObjectiveSpec]:
         """Build the fitness-objective list for the evaluator."""
         objectives = []
         for name, weight, maximize in self.objectives:
             scale = 1.0 if name == "accuracy" else 0.0
             objectives.append(
-                FitnessObjective(name=name, weight=float(weight), maximize=bool(maximize), scale=scale)
+                ObjectiveSpec(name=name, weight=float(weight), maximize=bool(maximize), scale=scale)
             )
         return objectives
 
@@ -635,8 +635,8 @@ class ECADConfig(JSONConfig):
     evaluations are dispatched, ``eval_parallelism`` bounds how many are
     kept in flight at once (1 keeps the reproducible serial search), and
     ``eval_batch_size`` fuses that many offspring into one batched dispatch
-    so workers can run fused GEMM training and vectorized hardware lookups
-    over whole candidate groups (results stay bit-identical).
+    so workers can run fused GEMM training over whole candidate groups
+    (results stay bit-identical).
     ``strategy`` names the registered search strategy driving the run:
     ``"evolutionary"`` (the default weighted-sum steady-state search),
     ``"nsga2"`` (Pareto-native multi-objective search), ``"random"``, or

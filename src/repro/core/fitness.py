@@ -7,18 +7,19 @@ functions ... Simple evaluation functions can be specified in the
 configuration file and more complex ones are written in code and added by
 registering them with the framework."*
 
-The typed objective model (registry, :class:`ObjectiveSpec`,
+The typed objective model (registry, :class:`~repro.core.objectives.ObjectiveSpec`,
 :class:`~repro.core.objectives.ObjectiveVector`, constraints) lives in
-:mod:`repro.core.objectives` and is re-exported here for compatibility.
-This module provides the evaluators built on top of it:
+:mod:`repro.core.objectives`.  This module provides the evaluators built on
+top of it:
 
 * :class:`FitnessEvaluator` — scalarizes several objectives into a weighted
   sum of min-max-normalized values (the paper's selection fitness) while
   natively producing each candidate's :class:`ObjectiveVector` for Pareto
   analysis, and
-* :class:`ParetoRankingEvaluator` — NSGA-II scoring: fast non-dominated
-  sorting plus crowding distance, encoded as a scalar so the steady-state
-  population machinery (selection, replacement) needs no changes.
+* :class:`ParetoRankingEvaluator` — NSGA-II scoring: non-dominated fronts
+  plus crowding distance (:func:`~repro.core.pareto.nsga2_ranking`), encoded
+  as a scalar so the steady-state population machinery (selection,
+  replacement) needs no changes.
 """
 
 from __future__ import annotations
@@ -32,41 +33,20 @@ import numpy as np
 from .candidate import CandidateEvaluation
 from .errors import ConfigurationError
 from .objectives import (
-    OBJECTIVES,
     Constraint,
-    ObjectiveFunction,
     ObjectiveSpec,
     ObjectiveVector,
-    available_objectives,
     build_objective_vector,
-    get_objective,
-    objective_default_maximize,
-    parse_constraint,
-    register_objective,
     resolve_constraints,
 )
-from .pareto import crowding_distances, fast_non_dominated_sort
+from .pareto import nsga2_ranking
 
 __all__ = [
-    "OBJECTIVES",
-    "ObjectiveFunction",
-    "register_objective",
-    "available_objectives",
-    "get_objective",
-    "objective_default_maximize",
-    "ObjectiveSpec",
-    "ObjectiveVector",
-    "Constraint",
-    "parse_constraint",
-    "FitnessObjective",
     "FitnessResult",
     "ObjectiveBounds",
     "FitnessEvaluator",
     "ParetoRankingEvaluator",
 ]
-
-#: Historical name: a fitness objective is an objective spec.
-FitnessObjective = ObjectiveSpec
 
 
 @dataclass(frozen=True)
@@ -194,10 +174,6 @@ class FitnessEvaluator:
             terms.append((objective.name, objective.weight, objective.maximize, offset, divisor))
         return terms
 
-    def objective_vector(self, evaluation: CandidateEvaluation) -> ObjectiveVector:
-        """The typed objective vector of one candidate (constraint-aware)."""
-        return self._measure(evaluation)[1]
-
     def score_population(
         self,
         evaluations: list[CandidateEvaluation],
@@ -318,14 +294,12 @@ class ParetoRankingEvaluator(FitnessEvaluator):
         scoreable = [i for i, e in enumerate(evaluations) if not e.failed]
         if not scoreable:
             return base
-        vectors = [base[i].vector for i in scoreable]
-        fronts = fast_non_dominated_sort(vectors, dominates_fn=ObjectiveVector.dominates)
+        fronts, crowding = nsga2_ranking([base[i].vector for i in scoreable])
         results = list(base)
         for rank, front in enumerate(fronts):
-            distances = crowding_distances([vectors[j].canonical for j in front])
-            order = sorted(range(len(front)), key=lambda j: -distances[j])
+            order = sorted(front, key=lambda j: -crowding[j])
             for position, j in enumerate(order):
-                index = scoreable[front[j]]
+                index = scoreable[j]
                 fitness = -float(rank) + self.CROWDING_SPAN * (1.0 - position / len(front))
                 results[index] = FitnessResult(
                     fitness=fitness,

@@ -31,6 +31,7 @@ from .objectives import (
     build_objective_vector,
     resolve_constraints,
 )
+from .pareto import dominated_by
 
 __all__ = ["FrontierSnapshot", "FrontierMember", "FrontierArchive"]
 
@@ -166,11 +167,11 @@ class FrontierArchive(Callback):
                 # dominating, so only a new distinct point is compared.
                 # Feasible vectors only: constrained dominance is plain
                 # Pareto dominance on the canonical values.
-                row = np.asarray(point, dtype=float)
+                row = np.asarray([point], dtype=float)
                 matrix = self._matrix
-                if ((matrix >= row).all(axis=1) & (matrix > row).any(axis=1)).any():
+                if dominated_by(row, matrix)[0]:
                     return False
-                dominated = (row >= matrix).all(axis=1) & (row > matrix).any(axis=1)
+                dominated = dominated_by(matrix, row)
                 if dominated.any():
                     points = list(self._points)
                     for index in np.flatnonzero(dominated):

@@ -9,7 +9,7 @@ here rather than an implementation detail of the scalarized fitness:
 * the objective registry (:data:`OBJECTIVES`, :func:`register_objective`) maps
   stable names to functions over :class:`~repro.core.candidate.CandidateEvaluation`,
 * :class:`ObjectiveSpec` is one named objective with a direction, weight and
-  optional normalization scale (``FitnessObjective`` in older code),
+  optional normalization scale,
 * :class:`Constraint` is a feasibility bound on a registered objective
   (``dsp_usage<=512`` style) — budgets are constraints, not penalty hacks,
 * :class:`ObjectiveVector` is the direction-aware, constraint-aware value
@@ -24,6 +24,7 @@ here rather than an implementation detail of the scalarized fitness:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -435,9 +436,9 @@ class ObjectiveVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def canonical(self) -> tuple[float, ...]:
-        """Values in maximization form (minimized objectives negated)."""
+        """Values in maximization form (minimized objectives negated), computed once."""
         return tuple(
             value if is_max else -value for value, is_max in zip(self.values, self.maximize)
         )

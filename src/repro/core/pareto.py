@@ -4,8 +4,17 @@ Section III-B: *"the Pareto frontiers that result after parsing the
 evolutionary design space define what the optimal solution is ... Having the
 data to make decisions based on trade-offs is highly valuable."*  Table IV of
 the paper reports, per dataset, two points from the accuracy-vs-throughput
-Pareto frontier.  This module provides dominance tests, frontier extraction
-and the "best trade-off rows" selection that the table uses.
+Pareto frontier.  This module provides frontier extraction, NSGA-II
+ranking and the "best trade-off rows" selection that the table uses.
+
+Pareto dominance is computed in one place: the array kernel behind
+:func:`dominated_by` (which rows of one set some row of another dominates)
+and :func:`constrained_fronts` (NSGA-II's non-dominated fronts under
+constrained dominance).  The frontier extraction here, the streaming
+:class:`~repro.core.frontier.FrontierArchive`, NSGA-II scoring and
+selection (through :func:`nsga2_ranking`) and the surrogate screen's Pareto
+bonus all call it.  The scalar definition it must agree with is
+:meth:`repro.core.objectives.ObjectiveVector.dominates`.
 """
 
 from __future__ import annotations
@@ -17,10 +26,11 @@ import numpy as np
 
 __all__ = [
     "ParetoPoint",
-    "dominates",
+    "dominated_by",
+    "constrained_fronts",
+    "nsga2_ranking",
     "pareto_frontier",
     "pareto_frontier_indices",
-    "fast_non_dominated_sort",
     "crowding_distances",
     "hypervolume_2d",
     "evaluation_frontier",
@@ -52,37 +62,146 @@ class ParetoPoint:
         object.__setattr__(self, "values", values)
 
 
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Pareto dominance between two plain objective vectors (maximization).
+#: Elements per pairwise-comparison block in :func:`dominated_by`.
+_PAIRWISE_BLOCK = 1 << 22
+
+
+def _dominance(points: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """``[i, j]`` is True when ``by[j]`` Pareto-dominates ``points[i]``.
+
+    Both arrays are ``(rows, objectives)`` in maximization form.  Every
+    comparison with NaN is false, so a row holding a NaN neither dominates
+    nor is dominated.
+    """
+    ahead = by[None, :, :]
+    behind = points[:, None, :]
+    return (ahead >= behind).all(axis=2) & (ahead > behind).any(axis=2)
+
+
+def dominated_by(points: Sequence[Sequence[float]], by: Sequence[Sequence[float]]) -> np.ndarray:
+    """Which ``points`` some row of ``by`` Pareto-dominates (maximization).
 
     Parameters
     ----------
-    a, b:
-        Objective vectors of equal length, every objective expressed in
-        maximization form (negate minimized objectives first).
+    points, by:
+        ``(rows, objectives)`` arrays (or nested sequences) of equal width,
+        every objective in maximization form.
 
     Returns
     -------
-    bool
-        True when ``a`` is at least as good as ``b`` in every objective and
-        strictly better in at least one.
+    numpy.ndarray
+        One bool per row of ``points``: True when at least one row of
+        ``by`` is at least as good in every objective and strictly better
+        in one.  Any comparison with NaN is false.  ``points`` is compared
+        in blocks of rows, so memory stays within ``_PAIRWISE_BLOCK``
+        elements whatever the sizes.
 
     Raises
     ------
     ValueError
-        When the vectors have different lengths.
+        When the two sets have different numbers of objectives.
     """
-    a = tuple(float(x) for x in a)
-    b = tuple(float(x) for x in b)
-    if len(a) != len(b):
-        raise ValueError(f"objective vectors have different lengths: {len(a)} vs {len(b)}")
-    at_least_as_good = all(x >= y for x, y in zip(a, b))
-    strictly_better = any(x > y for x, y in zip(a, b))
-    return at_least_as_good and strictly_better
+    points = np.asarray(points, dtype=float)
+    by = np.asarray(by, dtype=float)
+    if points.shape[1] != by.shape[1]:
+        raise ValueError(f"cannot compare {points.shape[1]} objectives with {by.shape[1]}")
+    step = max(1, _PAIRWISE_BLOCK // max(by.size, 1))
+    if len(points) <= step:
+        return _dominance(points, by).any(axis=1)
+    dominated = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), step):
+        dominated[start : start + step] = _dominance(points[start : start + step], by).any(axis=1)
+    return dominated
 
 
-#: Elements per pairwise-comparison block in :func:`pareto_frontier_indices`.
-_PAIRWISE_BLOCK = 1 << 22
+def constrained_fronts(
+    canonical: Sequence[Sequence[float]],
+    feasible: Sequence[bool],
+    violation: Sequence[float],
+) -> list[list[int]]:
+    """NSGA-II non-dominated fronts under constrained dominance (Deb et al. 2002).
+
+    A feasible member dominates every infeasible one; of two infeasible
+    members the smaller ``violation`` dominates; two feasible members
+    compare by Pareto dominance of their ``canonical`` (maximization-form)
+    rows, where any comparison with NaN is false.
+
+    Parameters
+    ----------
+    canonical:
+        ``(members, objectives)`` values in maximization form.
+    feasible, violation:
+        Per-member feasibility and total constraint violation.
+
+    Returns
+    -------
+    list[list[int]]
+        Member indices by front: front 0 is the frontier of the whole set,
+        front 1 the frontier of the rest, and so on.  The order within each
+        front is that of Deb's fast non-dominated sort, which downstream
+        crowding ties depend on: front 0 in index order, and each later
+        member by the position of its last dominator in the previous front,
+        then by index.
+    """
+    count = len(feasible)
+    if count == 0:
+        return []
+    feasible = np.asarray(feasible, dtype=bool)
+    violation = np.asarray(violation, dtype=float)
+    matrix = np.asarray(canonical, dtype=float).reshape(count, -1)
+    # beats[i, j]: member i dominates member j.
+    beats = np.where(
+        feasible[:, None] == feasible[None, :],
+        np.where(
+            feasible[:, None],
+            _dominance(matrix, matrix).T,
+            violation[:, None] < violation[None, :],
+        ),
+        feasible[:, None],
+    )
+    remaining = beats.sum(axis=0)
+    front = np.flatnonzero(remaining == 0)
+    fronts: list[list[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        beaten = beats[front]
+        remaining -= beaten.sum(axis=0)
+        released = np.flatnonzero((remaining == 0) & beaten.any(axis=0))
+        # Deb's loop appends a member when its last dominator in this front
+        # releases it, scanning each dominator's victims in index order.
+        # ``released`` is in index order, so a stable sort breaks ties by index.
+        last = len(front) - 1 - beaten[::-1, released].argmax(axis=0)
+        front = released[np.argsort(last, kind="stable")]
+    return fronts
+
+
+def nsga2_ranking(vectors: Sequence) -> tuple[list[list[int]], list[float]]:
+    """NSGA-II fronts and per-member crowding distance of objective vectors.
+
+    Parameters
+    ----------
+    vectors:
+        :class:`~repro.core.objectives.ObjectiveVector`-shaped objects
+        (``canonical``, ``feasible``, ``violation``).
+
+    Returns
+    -------
+    tuple[list[list[int]], list[float]]
+        :func:`constrained_fronts` of the vectors, and each member's
+        :func:`crowding_distances` value within its own front, aligned
+        with ``vectors``.
+    """
+    canonical = [vector.canonical for vector in vectors]
+    fronts = constrained_fronts(
+        canonical,
+        [vector.feasible for vector in vectors],
+        [vector.violation for vector in vectors],
+    )
+    crowding = [0.0] * len(vectors)
+    for front in fronts:
+        for index, distance in zip(front, crowding_distances([canonical[i] for i in front])):
+            crowding[index] = distance
+    return fronts, crowding
 
 
 def pareto_frontier_indices(points: Sequence[Sequence[float]]) -> list[int]:
@@ -99,8 +218,7 @@ def pareto_frontier_indices(points: Sequence[Sequence[float]]) -> list[int]:
         Indices into ``points`` of the non-dominated members, in input
         order.  Duplicates of a frontier point are all kept (none dominates
         the other), and a point with a NaN value neither dominates nor is
-        dominated (every comparison with NaN is false, as in
-        :func:`dominates`).
+        dominated (see :func:`dominated_by`).
 
     Raises
     ------
@@ -113,22 +231,10 @@ def pareto_frontier_indices(points: Sequence[Sequence[float]]) -> list[int]:
     if len({len(row) for row in rows}) > 1:
         raise ValueError("objective vectors have different lengths")
     matrix = np.asarray(rows, dtype=float).reshape(len(rows), len(rows[0]))
-    # Rows with a NaN take part in no dominance.  The rest are compared as
-    # distinct points only: equal points share one verdict.
-    comparable = ~np.isnan(matrix).any(axis=1)
-    distinct, group = np.unique(matrix[comparable], axis=0, return_inverse=True)
-    dominated = np.zeros(len(distinct), dtype=bool)
-    # All pairs at once, in row blocks so memory stays bounded:
-    # block[i, j] compares candidate i against every distinct point j.
-    step = max(1, _PAIRWISE_BLOCK // max(distinct.size, 1))
-    for start in range(0, len(distinct), step):
-        block = distinct[start : start + step, None, :]
-        at_least_as_good = (distinct[None, :, :] >= block).all(axis=2)
-        strictly_better = (distinct[None, :, :] > block).any(axis=2)
-        dominated[start : start + step] = (at_least_as_good & strictly_better).any(axis=1)
-    keep = np.ones(len(rows), dtype=bool)
-    keep[comparable] = ~dominated[group.reshape(-1)]
-    return np.flatnonzero(keep).tolist()
+    # Equal points share one verdict, so only distinct points are compared
+    # (sorted, which also makes the comparison faster).
+    distinct, group = np.unique(matrix, axis=0, return_inverse=True)
+    return np.flatnonzero(~dominated_by(distinct, distinct)[group.reshape(-1)]).tolist()
 
 
 def pareto_frontier(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
@@ -147,54 +253,6 @@ def pareto_frontier(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
     indices = pareto_frontier_indices([point.values for point in points])
     frontier = [points[i] for i in indices]
     return sorted(frontier, key=lambda point: point.values[0], reverse=True)
-
-
-def fast_non_dominated_sort(
-    items: Sequence, dominates_fn: Callable[[object, object], bool] | None = None
-) -> list[list[int]]:
-    """NSGA-II fast non-dominated sorting (Deb et al. 2002).
-
-    Partitions ``items`` into successive non-dominated fronts and returns
-    them as lists of indices: front 0 is the Pareto frontier of the whole
-    set, front 1 the frontier of the remainder, and so on.
-
-    Parameters
-    ----------
-    items:
-        Objective vectors.  By default plain sequences of floats in
-        maximization form compared with :func:`dominates`; pass
-        ``dominates_fn`` to sort richer objects (e.g.
-        ``ObjectiveVector.dominates`` for constrained dominance).
-    dominates_fn:
-        Binary predicate ``dominates_fn(a, b)`` — True when ``a`` dominates
-        ``b``.
-    """
-    compare = dominates_fn or dominates
-    count = len(items)
-    dominated_by: list[list[int]] = [[] for _ in range(count)]
-    domination_count = [0] * count
-    fronts: list[list[int]] = [[]]
-    for i in range(count):
-        for j in range(count):
-            if i == j:
-                continue
-            if compare(items[i], items[j]):
-                dominated_by[i].append(j)
-            elif compare(items[j], items[i]):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        next_front: list[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    return [front for front in fronts if front]
 
 
 def crowding_distances(values: Sequence[Sequence[float]]) -> list[float]:

@@ -120,19 +120,6 @@ class Population:
         """Evaluations of all members, fitness-ordered."""
         return [member.evaluation for member in self._members]
 
-    def best_by_objective(self, name: str) -> Individual:
-        """The member with the highest raw value of one objective."""
-        if not self._members:
-            raise SearchError("population is empty")
-        return max(self._members, key=lambda member: member.objective(name))
-
-    def mean_fitness(self) -> float:
-        """Mean scalar fitness over finite-fitness members (0 if none)."""
-        finite = [m.fitness_value for m in self._members if m.fitness_value != float("-inf")]
-        if not finite:
-            return 0.0
-        return sum(finite) / len(finite)
-
     def contains_genome(self, genome: CoDesignGenome) -> bool:
         """Whether an identical genome is already present."""
         return genome.cache_key() in self._keys

@@ -31,9 +31,10 @@ from .candidate import CandidateEvaluation
 from .config import ECADConfig
 from .engine import ChunkEvaluator, EngineConfig, EngineResult, EvolutionaryEngine, RunStatistics
 from .errors import ConfigurationError
-from .fitness import Constraint, FitnessEvaluator, FitnessObjective, ObjectiveBounds
+from .fitness import FitnessEvaluator, ObjectiveBounds
 from .frontier import FrontierArchive
 from .genome import CoDesignGenome, CoDesignSearchSpace
+from .objectives import Constraint, ObjectiveSpec
 from .pareto import ParetoPoint, evaluation_frontier, top_tradeoff_points
 
 __all__ = ["SearchResult", "CoDesignSearch", "RandomSearch", "close_active_searches"]
@@ -345,7 +346,7 @@ class RandomSearch:
         self,
         space: CoDesignSearchSpace,
         evaluator,
-        objectives: list[FitnessObjective] | None = None,
+        objectives: list[ObjectiveSpec] | None = None,
         max_evaluations: int = 100,
         seed: int | None = 0,
         device=None,
@@ -364,7 +365,7 @@ class RandomSearch:
         self.space = space
         self.evaluator = evaluator
         self.fitness = FitnessEvaluator(
-            objectives or [FitnessObjective.accuracy()], constraints=constraints or ()
+            objectives or [ObjectiveSpec.accuracy()], constraints=constraints or ()
         )
         self.max_evaluations = int(max_evaluations)
         self.seed = seed

@@ -17,7 +17,7 @@ import numpy as np
 from ..sampling import pick_weighted, weights_cdf
 from .errors import SearchError
 from .fitness import FitnessResult
-from .pareto import crowding_distances, fast_non_dominated_sort
+from .pareto import nsga2_ranking
 from .population import Individual, Population
 
 __all__ = [
@@ -151,8 +151,8 @@ class RankSelection(SelectionScheme):
 class NSGA2Selection(SelectionScheme):
     """NSGA-II tournament: lower Pareto rank wins, crowding breaks ties.
 
-    Ranks are computed by fast non-dominated sorting over the members'
-    :class:`~repro.core.objectives.ObjectiveVector`s (constrained dominance,
+    Ranks and crowding come from :func:`~repro.core.pareto.nsga2_ranking`
+    over the members' :class:`~repro.core.objectives.ObjectiveVector`s (constrained dominance,
     so feasible members always outrank infeasible ones); within a front the
     more isolated member (larger crowding distance) is preferred, preserving
     frontier diversity.  Populations whose fitness results carry no vectors
@@ -227,16 +227,11 @@ class NSGA2Selection(SelectionScheme):
             for rank, index in enumerate(order):
                 ranks[index] = rank
             return ranks, [0.0] * len(members)
-        from .objectives import ObjectiveVector
-
-        fronts = fast_non_dominated_sort(vectors, dominates_fn=ObjectiveVector.dominates)
+        fronts, crowding = nsga2_ranking(vectors)
         ranks = [0] * len(members)
-        crowding = [0.0] * len(members)
         for rank, front in enumerate(fronts):
-            distances = crowding_distances([vectors[i].canonical for i in front])
-            for i, distance in zip(front, distances):
+            for i in front:
                 ranks[i] = rank
-                crowding[i] = distance
         return ranks, crowding
 
 

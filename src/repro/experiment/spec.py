@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import JSONConfig, OptimizationTargetConfig
 from ..core.errors import ConfigurationError
-from ..core.fitness import objective_default_maximize
+from ..core.objectives import objective_default_maximize
 from ..registry import normalize_key
 
 __all__ = [

@@ -30,6 +30,7 @@ from ..core.candidate import CandidateEvaluation
 from ..core.config import SurrogateConfig
 from ..core.genome import CoDesignGenome
 from ..core.objectives import ObjectiveSpec
+from ..core.pareto import dominated_by
 from .features import genome_features, row_features
 from .model import SurrogateModel
 
@@ -214,8 +215,6 @@ class OffspringScreener:
 
     def _pareto_bonus(self, directed: np.ndarray, reference_rows: list[dict]) -> np.ndarray:
         """+1 for candidates whose optimistic vector no reference point dominates."""
-        if not reference_rows:
-            return np.ones(directed.shape[0], dtype=np.float64)
         reference = np.asarray(
             [
                 [
@@ -228,13 +227,6 @@ class OffspringScreener:
                 for row in reference_rows
             ],
             dtype=np.float64,
-        )
+        ).reshape(len(reference_rows), len(self.objectives))
         reference = reference[np.all(np.isfinite(reference), axis=1)]
-        if reference.shape[0] == 0:
-            return np.ones(directed.shape[0], dtype=np.float64)
-        bonus = np.empty(directed.shape[0], dtype=np.float64)
-        for i in range(directed.shape[0]):
-            at_least = np.all(reference >= directed[i], axis=1)
-            strictly = np.any(reference > directed[i], axis=1)
-            bonus[i] = 0.0 if bool(np.any(at_least & strictly)) else 1.0
-        return bonus
+        return np.where(dominated_by(directed, reference), 0.0, 1.0)

@@ -130,8 +130,7 @@ class Worker:
         """Evaluate many requests, one report per request, in input order.
 
         The default simply loops :meth:`evaluate`; workers that can amortize
-        work across a population (fused training, vectorized hardware sweeps)
-        override this.  Overrides must return results identical to the looped
+        work across a population (fused training) override this.  Overrides must return results identical to the looped
         default for the same requests.
         """
         return [self.evaluate(request) for request in requests]

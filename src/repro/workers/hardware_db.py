@@ -18,16 +18,12 @@ use (e.g. hardware-only sweeps).
 
 from __future__ import annotations
 
-import logging
-
 from ..hardware.device import ARRIA10_GX1150, FPGADevice
 from ..hardware.fpga_model import FPGAPerformanceModel
 from ..hardware.memory import DDR4_BANK, MemorySystem
 from .base import EvaluationRequest, Worker, WorkerReport, register_worker
 
 __all__ = ["HardwareDatabaseWorker"]
-
-logger = logging.getLogger(__name__)
 
 
 class HardwareDatabaseWorker(Worker):
@@ -79,62 +75,6 @@ class HardwareDatabaseWorker(Worker):
             report.error = f"FPGA model failed: {exc}"
         report.parameter_count = spec.parameter_count
         return report
-
-    def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[WorkerReport]:
-        """Model a whole population slice in one vectorized sweep.
-
-        All feasible candidates are scored together through
-        :func:`~repro.hardware.vectorized.evaluate_workloads`, which produces
-        metrics bit-identical to per-request :meth:`evaluate`.  Requests with
-        missing dimensions or infeasible grids keep going through the scalar
-        path so their error strings match.  If the vectorized sweep itself
-        fails, the feasible requests are redone one at a time too, and the
-        fallback logs one warning.
-        """
-        from ..hardware.vectorized import evaluate_workloads
-
-        reports: list[WorkerReport | None] = [None] * len(requests)
-        workloads = []
-        batched_positions = []
-        for position, request in enumerate(requests):
-            input_size, output_size = self._problem_dimensions(request)
-            hardware = request.genome.hardware
-            if (
-                input_size <= 0
-                or output_size <= 0
-                or not hardware.grid.fits(self.device)
-                or hardware.batch_size <= 0
-            ):
-                reports[position] = self.evaluate(request)
-                continue
-            spec = request.genome.mlp.to_spec(input_size, output_size)
-            workloads.append(
-                (spec.gemm_shapes(hardware.batch_size), hardware.grid, hardware.batch_size)
-            )
-            batched_positions.append((position, spec))
-
-        if workloads:
-            try:
-                batched = evaluate_workloads(self.model, workloads)
-            except Exception as exc:  # noqa: BLE001 - fused path failed; redo scalar
-                logger.warning(
-                    "vectorized model of a %d-request group failed (%r); "
-                    "redoing it one request at a time",
-                    len(workloads),
-                    exc,
-                    exc_info=True,
-                )
-                batched = None
-            if batched is None:
-                for (position, _spec), _workload in zip(batched_positions, workloads):
-                    reports[position] = self.evaluate(requests[position])
-            else:
-                for (position, spec), metrics in zip(batched_positions, batched):
-                    report = WorkerReport(worker_name=self.name)
-                    report.fpga_metrics = metrics
-                    report.parameter_count = spec.parameter_count
-                    reports[position] = report
-        return reports  # type: ignore[return-value]
 
     def _problem_dimensions(self, request: EvaluationRequest) -> tuple[int, int]:
         if request.dataset is not None:

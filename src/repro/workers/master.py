@@ -19,8 +19,8 @@ Two entry points are offered:
   pipeline calls it from several threads at once when ``eval_parallelism``
   is above 1, so the backend must also absorb concurrent ``map`` calls.
 * :meth:`evaluate_batch` — a chunk of candidates, so workers that fuse work
-  across candidates (batched training, vectorized hardware sweeps) amortize
-  it.  The engine calls it for chunks of ``eval_batch_size``.  On a pool of
+  across candidates (batched training) amortize it.  The engine calls it
+  for chunks of ``eval_batch_size``.  On a pool of
   processes the chunk goes out as up to pool-size tasks, split between
   same-topology groups and balanced by estimated training cost, so one chunk
   keeps every pool process busy; every other backend runs it as one task.
@@ -69,8 +69,8 @@ def _run_workers_serial_batch(
     """Evaluate every worker for a whole batch of requests in one task.
 
     Each worker sees the full batch through :meth:`Worker.evaluate_batch`, so
-    workers that fuse work across candidates (batched GEMM training,
-    vectorized hardware sweeps) amortize it here.  Returns one report list
+    workers that fuse work across candidates (batched GEMM training)
+    amortize it here.  Returns one report list
     per request, in request order, plus the total elapsed wall clock.
     """
     workers, requests = task

@@ -19,6 +19,7 @@ from repro.core.genome import (
     MLPGenome,
     MLPSearchSpace,
 )
+from repro.core.objectives import ObjectiveVector
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import SyntheticSpec, make_classification
 from repro.hardware.device import ARRIA10_GX1150, TITAN_X
@@ -167,6 +168,21 @@ def make_fake_evaluation(
         gpu_metrics=metrics("gpu", gpu_outputs),
         evaluation_seconds=0.01,
     )
+
+
+def plain_dominates(a, b) -> bool:
+    """Pareto dominance of two maximization-form points, by the scalar definition.
+
+    Both points become all-maximized, feasible
+    :class:`~repro.core.objectives.ObjectiveVector`s, so this is
+    ``ObjectiveVector.dominates`` (which raises on a length mismatch).
+    """
+
+    def vector(point) -> ObjectiveVector:
+        names = tuple(f"o{i}" for i in range(len(point)))
+        return ObjectiveVector(names=names, values=tuple(point), maximize=(True,) * len(point))
+
+    return vector(a).dominates(vector(b))
 
 
 @pytest.fixture

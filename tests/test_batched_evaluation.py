@@ -18,7 +18,8 @@ import pytest
 from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EvolutionaryEngine, RunStatistics
 from repro.core.errors import SearchError
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignGenome, HardwareGenome, MLPGenome
 from repro.datasets.base import Dataset
 from repro.datasets.shared import clear_attached_cache
@@ -471,35 +472,12 @@ class TestFusedFallbackIsLogged:
             assert not batched_report.failed
             _assert_reports_identical(batched_report, worker.evaluate(req))
 
-    def test_hardware_db_sweep_failure_warns_once(
-        self, monkeypatch, caplog, tiny_dataset, small_grid, fast_training_config
-    ):
-        from repro.hardware import vectorized
-
-        worker = HardwareDatabaseWorker(device=ARRIA10_GX1150)
-        requests = _requests(_genomes(small_grid), tiny_dataset, fast_training_config)
-
-        def broken(model, workloads):
-            raise RuntimeError("sweep broke")
-
-        monkeypatch.setattr(vectorized, "evaluate_workloads", broken)
-        with caplog.at_level("WARNING", logger="repro.workers.hardware_db"):
-            batched = worker.evaluate_batch(requests)
-        records = [r for r in caplog.records if r.name == "repro.workers.hardware_db"]
-        assert len(records) == 1
-        assert records[0].levelname == "WARNING"
-        assert "sweep broke" in records[0].getMessage()
-        assert f"{len(requests)}-request group" in records[0].getMessage()
-        for batched_report, req in zip(batched, requests):
-            _assert_reports_identical(batched_report, worker.evaluate(req))
-
     def test_working_fused_paths_log_nothing(
         self, caplog, tiny_dataset, small_grid, fast_training_config
     ):
         requests = _requests(_genomes(small_grid), tiny_dataset, fast_training_config)
         with caplog.at_level("WARNING"):
             SimulationWorker(gpu=TITAN_X).evaluate_batch(requests)
-            HardwareDatabaseWorker(device=ARRIA10_GX1150).evaluate_batch(requests)
         assert not [r for r in caplog.records if r.name.startswith("repro.workers")]
 
 
@@ -808,7 +786,7 @@ class TestEngineBatching:
             space=space,
             evaluator=evaluator,
             fitness=FitnessEvaluator(
-                [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+                [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
             ),
             config=config,
             device=ARRIA10_GX1150,

@@ -14,7 +14,8 @@ from repro.core.candidate import CandidateEvaluation
 from repro.core.config import ECADConfig, HardwareTargetConfig, NNAStructureConfig, OptimizationTargetConfig
 from repro.core.engine import EngineConfig, EvolutionaryEngine
 from repro.core.errors import ConfigurationError, SearchError
-from repro.core.fitness import FitnessEvaluator, FitnessObjective, ParetoRankingEvaluator
+from repro.core.fitness import FitnessEvaluator, ParetoRankingEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignSearchSpace, HardwareSearchSpace, MLPSearchSpace
 from repro.core.search import CoDesignSearch, RandomSearch
 from repro.hardware.device import ARRIA10_GX1150
@@ -22,7 +23,7 @@ from repro.hardware.systolic import GridSearchSpace
 
 
 def _fitness() -> FitnessEvaluator:
-    return FitnessEvaluator([FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()])
+    return FitnessEvaluator([ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()])
 
 
 class TestEngineConfig:
@@ -416,7 +417,7 @@ def _engine_digest(
         selection=selection or ("nsga2" if nsga2 else "tournament"),
         **overrides,
     )
-    objectives = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+    objectives = [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
     result = EvolutionaryEngine(
         space=space,
         evaluator=evaluator,
@@ -442,7 +443,7 @@ def _random_search_digest(space, evaluator) -> str:
     result = RandomSearch(
         space=space,
         evaluator=evaluator,
-        objectives=[FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()],
+        objectives=[ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()],
         max_evaluations=30,
         seed=3,
         device=ARRIA10_GX1150,
@@ -764,7 +765,7 @@ class TestRandomSearch:
         search = RandomSearch(
             space=small_search_space,
             evaluator=fake_evaluator,
-            objectives=[FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()],
+            objectives=[ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()],
             max_evaluations=30,
             seed=0,
             device=ARRIA10_GX1150,
@@ -786,7 +787,7 @@ class TestRandomSearch:
         self, small_search_space, fake_evaluator
     ):
         """The steady-state engine should not lose to random search on the same budget."""
-        objectives = [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+        objectives = [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
         random_result = RandomSearch(
             small_search_space,
             fake_evaluator,
@@ -836,7 +837,7 @@ class TestRandomSearchWindow:
         return RandomSearch(
             space=_six_genome_space(),
             evaluator=evaluator,
-            objectives=[FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()],
+            objectives=[ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()],
             max_evaluations=40,
             seed=0,
             device=ARRIA10_GX1150,
@@ -894,7 +895,7 @@ class TestRandomSearchWindow:
             result = RandomSearch(
                 space=config.to_search_space(),
                 evaluator=master,
-                objectives=[FitnessObjective.accuracy()],
+                objectives=[ObjectiveSpec.accuracy()],
                 max_evaluations=6,
                 seed=2,
                 device=config.hardware.fpga_device(),
@@ -919,7 +920,7 @@ class TestRandomSearchWindow:
         result = RandomSearch(
             space=small_search_space,
             evaluator=flaky,
-            objectives=[FitnessObjective.accuracy()],
+            objectives=[ObjectiveSpec.accuracy()],
             max_evaluations=12,
             seed=5,
             device=ARRIA10_GX1150,

@@ -9,18 +9,18 @@ import pytest
 from repro.core.cache import EvaluationCache
 from repro.core.candidate import CandidateEvaluation
 from repro.core.errors import ConfigurationError, SearchError
-from repro.core.fitness import (
-    FitnessEvaluator,
-    FitnessObjective,
-    FitnessResult,
+from repro.core.fitness import FitnessEvaluator, FitnessResult
+from repro.core.objectives import (
+    ObjectiveSpec,
     available_objectives,
+    build_objective_vector,
     get_objective,
     register_objective,
 )
 from repro.core.genome import CoDesignGenome, HardwareGenome, MLPGenome
 from repro.core.pareto import (
     ParetoPoint,
-    dominates,
+    dominated_by,
     knee_point,
     make_points,
     pareto_frontier,
@@ -38,7 +38,7 @@ from repro.core.selection import (
 )
 from repro.hardware.systolic import GridConfig
 
-from tests.conftest import make_fake_evaluation
+from tests.conftest import make_fake_evaluation, plain_dominates
 
 
 def _publish(cache: EvaluationCache, evaluation: CandidateEvaluation) -> None:
@@ -83,14 +83,14 @@ class TestObjectives:
 
     def test_objective_config_validation(self):
         with pytest.raises(ConfigurationError):
-            FitnessObjective(name="not_registered")
+            ObjectiveSpec(name="not_registered")
         with pytest.raises(ConfigurationError):
-            FitnessObjective(name="accuracy", weight=0.0)
+            ObjectiveSpec(name="accuracy", weight=0.0)
 
 
 class TestFitnessEvaluator:
     def test_accuracy_only_orders_by_accuracy(self):
-        evaluator = FitnessEvaluator([FitnessObjective.accuracy()])
+        evaluator = FitnessEvaluator([ObjectiveSpec.accuracy()])
         evaluations = [
             make_fake_evaluation(_genome(8), accuracy=0.6, fpga_outputs=1e6),
             make_fake_evaluation(_genome(16), accuracy=0.9, fpga_outputs=1e5),
@@ -102,7 +102,7 @@ class TestFitnessEvaluator:
 
     def test_multi_objective_rewards_balanced_candidates(self):
         evaluator = FitnessEvaluator(
-            [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+            [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
         )
         evaluations = [
             make_fake_evaluation(_genome(8), accuracy=0.90, fpga_outputs=1e4),
@@ -114,14 +114,14 @@ class TestFitnessEvaluator:
         assert best == 1  # near-top accuracy AND near-top throughput wins
 
     def test_minimized_objective_contributes_inverted(self):
-        evaluator = FitnessEvaluator([FitnessObjective(name="parameter_count", maximize=False)])
+        evaluator = FitnessEvaluator([ObjectiveSpec(name="parameter_count", maximize=False)])
         small = make_fake_evaluation(_genome(8), accuracy=0.5)
         big = make_fake_evaluation(_genome(64), accuracy=0.5)
         results = evaluator.score_population([small, big])
         assert results[0].fitness > results[1].fitness
 
     def test_failed_evaluations_get_minus_infinity(self):
-        evaluator = FitnessEvaluator([FitnessObjective.accuracy()])
+        evaluator = FitnessEvaluator([ObjectiveSpec.accuracy()])
         ok = make_fake_evaluation(_genome(8), accuracy=0.7)
         failed = CandidateEvaluation(genome=_genome(16), error="boom")
         results = evaluator.score_population([ok, failed])
@@ -129,7 +129,7 @@ class TestFitnessEvaluator:
         assert np.isnan(results[1].objectives["accuracy"])
 
     def test_score_single_against_reference(self):
-        evaluator = FitnessEvaluator([FitnessObjective.accuracy()])
+        evaluator = FitnessEvaluator([ObjectiveSpec.accuracy()])
         reference = [make_fake_evaluation(_genome(8), accuracy=0.6)]
         candidate = make_fake_evaluation(_genome(16), accuracy=0.9)
         result = evaluator.score(candidate, reference)
@@ -142,21 +142,21 @@ class TestFitnessEvaluator:
         with pytest.raises(ConfigurationError):
             FitnessEvaluator([])
         with pytest.raises(ConfigurationError):
-            FitnessEvaluator([FitnessObjective.accuracy(), FitnessObjective.accuracy()])
+            FitnessEvaluator([ObjectiveSpec.accuracy(), ObjectiveSpec.accuracy()])
 
     def test_empty_population_scores_to_empty_list(self):
-        evaluator = FitnessEvaluator([FitnessObjective.accuracy()])
+        evaluator = FitnessEvaluator([ObjectiveSpec.accuracy()])
         assert evaluator.score_population([]) == []
 
 
 class TestPareto:
     def test_dominates(self):
-        assert dominates((2, 2), (1, 2))
-        assert dominates((2, 3), (1, 2))
-        assert not dominates((1, 2), (2, 1))
-        assert not dominates((1, 1), (1, 1))
+        assert dominated_by([(1, 2)], [(2, 2)]).tolist() == [True]
+        assert dominated_by([(1, 2)], [(2, 3)]).tolist() == [True]
+        assert dominated_by([(2, 1)], [(1, 2)]).tolist() == [False]
+        assert dominated_by([(1, 1)], [(1, 1)]).tolist() == [False]
         with pytest.raises(ValueError):
-            dominates((1,), (1, 2))
+            dominated_by([(1, 2)], [(1,)])
 
     def test_frontier_indices(self):
         points = [(1, 5), (2, 4), (3, 3), (2, 2), (0, 6)]
@@ -391,13 +391,6 @@ class TestPopulation:
         assert rejected is not None and rejected.fitness_value == pytest.approx(0.1)
         assert len(population) == 2
 
-    def test_best_by_objective_and_mean_fitness(self):
-        population = Population(capacity=4)
-        population.add(_individual(8, 0.9, 0.2))
-        population.add(_individual(16, 0.5, 0.8))
-        assert population.best_by_objective("accuracy").evaluation.accuracy == pytest.approx(0.9)
-        assert population.mean_fitness() == pytest.approx(0.5)
-
     def test_contains_genome(self):
         population = Population(capacity=4)
         member = _individual(8, 0.5, 0.5)
@@ -536,7 +529,7 @@ def _legacy_score(evaluator, evaluation, reference):
         population.append(evaluation)
     rows = [evaluator.raw_objectives(e) for e in population]
     row = rows[population.index(evaluation)]
-    vector = evaluator.objective_vector(evaluation)
+    vector = build_objective_vector(evaluation, evaluator.objectives, evaluator.constraints)
     if evaluation.failed or not vector.feasible:
         return float("-inf")
     fitness = 0.0
@@ -568,7 +561,7 @@ def _legacy_frontier_indices(points):
     vectors = [tuple(float(v) for v in point) for point in points]
     frontier = []
     for i, candidate in enumerate(vectors):
-        if not any(i != j and dominates(other, candidate) for j, other in enumerate(vectors)):
+        if not any(i != j and plain_dominates(other, candidate) for j, other in enumerate(vectors)):
             frontier.append(i)
     return frontier
 
@@ -593,11 +586,11 @@ def _random_history(seed: int, count: int = 60) -> list[CandidateEvaluation]:
 def _mixed_evaluator() -> FitnessEvaluator:
     return FitnessEvaluator(
         [
-            FitnessObjective.accuracy(weight=2.0),  # scale > 0
-            FitnessObjective.fpga_throughput(),
-            FitnessObjective(name="fpga_latency", maximize=False, weight=0.5),  # minimized, inf
-            FitnessObjective(name="gpu_throughput"),  # constant over the history
-            FitnessObjective(name="parameter_count", maximize=False),
+            ObjectiveSpec.accuracy(weight=2.0),  # scale > 0
+            ObjectiveSpec.fpga_throughput(),
+            ObjectiveSpec(name="fpga_latency", maximize=False, weight=0.5),  # minimized, inf
+            ObjectiveSpec(name="gpu_throughput"),  # constant over the history
+            ObjectiveSpec(name="parameter_count", maximize=False),
         ],
         constraints=["accuracy>=0.55"],  # some candidates are infeasible
     )
@@ -653,7 +646,7 @@ class TestRunningBoundsEquivalence:
         from repro.core.engine import EngineConfig, EvolutionaryEngine
 
         fitness = FitnessEvaluator(
-            [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+            [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
         )
         engine = EvolutionaryEngine(
             space=small_search_space,
@@ -671,7 +664,7 @@ class TestRunningBoundsEquivalence:
     def test_rank_evaluator_rejects_running_bounds(self):
         from repro.core.fitness import ObjectiveBounds, ParetoRankingEvaluator
 
-        evaluator = ParetoRankingEvaluator([FitnessObjective.accuracy()])
+        evaluator = ParetoRankingEvaluator([ObjectiveSpec.accuracy()])
         with pytest.raises(TypeError):
             evaluator.score_against(make_fake_evaluation(_genome(), accuracy=0.5), ObjectiveBounds())
 
@@ -736,7 +729,7 @@ class TestGroupedFrontierArchive:
         from repro.core.objectives import ObjectiveVector
 
         rng = np.random.default_rng(seed)
-        specs = [FitnessObjective.accuracy(), FitnessObjective(name="fpga_latency", maximize=False)]
+        specs = [ObjectiveSpec.accuracy(), ObjectiveSpec(name="fpga_latency", maximize=False)]
         names = tuple(spec.name for spec in specs)
         archive = FrontierArchive(objectives=specs)
         offers = []

@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import ECADConfig
 from repro.core.errors import ConfigurationError
-from repro.core.fitness import FitnessObjective, register_objective
+from repro.core.objectives import ObjectiveSpec, register_objective
 from repro.datasets.registry import DatasetEntry, dataset_entry, register_dataset
 from repro.experiment import (
     ExperimentReport,
@@ -142,7 +142,7 @@ class TestOpenRegistries:
 
     def test_custom_objective_registered_and_usable(self):
         register_objective("test_neg_params", lambda e: -float(e.parameter_count))
-        objective = FitnessObjective(name="test_neg_params", maximize=True)
+        objective = ObjectiveSpec(name="test_neg_params", maximize=True)
         assert objective.name == "test_neg_params"
 
     def test_worker_types_registered(self):

@@ -21,20 +21,16 @@ from repro.core.callbacks import Callback
 from repro.core.config import ECADConfig, OptimizationTargetConfig
 from repro.core.engine import EngineConfig, EvolutionaryEngine
 from repro.core.errors import ConfigurationError
-from repro.core.fitness import (
-    FitnessEvaluator,
-    FitnessObjective,
-    ParetoRankingEvaluator,
-    parse_constraint,
-)
+from repro.core.fitness import FitnessEvaluator, ParetoRankingEvaluator
+from repro.core.objectives import ObjectiveSpec, parse_constraint
 from repro.core.frontier import FrontierArchive
 from repro.core.genome import CoDesignGenome, HardwareGenome, MLPGenome
 from repro.core.objectives import Constraint, ObjectiveVector, build_objective_vector
 from repro.core.pareto import (
     ParetoPoint,
+    constrained_fronts,
     crowding_distances,
     evaluation_frontier,
-    fast_non_dominated_sort,
     hypervolume_2d,
     knee_point,
     pareto_frontier_indices,
@@ -62,8 +58,8 @@ def _genome(neurons: int = 16, rows: int = 4) -> CoDesignGenome:
     )
 
 
-def _objectives() -> list[FitnessObjective]:
-    return [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+def _objectives() -> list[ObjectiveSpec]:
+    return [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +165,15 @@ class TestObjectiveVector:
 # ---------------------------------------------------------------------------
 
 
+def _fronts(points):
+    """Non-dominated fronts of plain maximization-form points, all feasible."""
+    return constrained_fronts(points, [True] * len(points), [0.0] * len(points))
+
+
 class TestFastNonDominatedSort:
     def test_fronts_partition_and_order(self):
         points = [(1.0, 1.0), (0.5, 0.5), (2.0, 0.1), (0.1, 2.0), (0.4, 0.4)]
-        fronts = fast_non_dominated_sort(points)
+        fronts = _fronts(points)
         assert sorted(i for front in fronts for i in front) == list(range(len(points)))
         assert set(fronts[0]) == {0, 2, 3}  # mutually non-dominated trio
         assert set(fronts[1]) == {1}
@@ -181,12 +182,12 @@ class TestFastNonDominatedSort:
     def test_front_zero_matches_frontier_indices(self):
         rng = np.random.default_rng(3)
         points = [tuple(rng.uniform(0, 1, size=2)) for _ in range(40)]
-        fronts = fast_non_dominated_sort(points)
+        fronts = _fronts(points)
         assert sorted(fronts[0]) == sorted(pareto_frontier_indices(points))
 
     def test_empty_and_identical_points(self):
-        assert fast_non_dominated_sort([]) == []
-        fronts = fast_non_dominated_sort([(1.0, 1.0)] * 4)
+        assert _fronts([]) == []
+        fronts = _fronts([(1.0, 1.0)] * 4)
         assert fronts == [[0, 1, 2, 3]]  # ties never dominate each other
 
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.candidate import CandidateEvaluation
 from repro.core.engine import EngineConfig, EvolutionaryEngine
-from repro.core.fitness import FitnessEvaluator, ObjectiveBounds, ObjectiveSpec, register_objective
+from repro.core.fitness import FitnessEvaluator, ObjectiveBounds
+from repro.core.objectives import ObjectiveSpec, register_objective
 from repro.core.genome import CoDesignSearchSpace
 from repro.core.objectives import Constraint
 from repro.core.population import Individual, Population

@@ -20,7 +20,7 @@ from repro.core.genome import (
     MLPSearchSpace,
 )
 from repro.core.mutation import CoDesignMutator
-from repro.core.pareto import dominates, pareto_frontier_indices
+from repro.core.pareto import pareto_frontier_indices
 from repro.hardware.device import ARRIA10_GX1150
 from repro.hardware.gemm import block_gemm
 from repro.hardware.gpu_model import GPUPerformanceModel
@@ -30,6 +30,8 @@ from repro.nn.activations import ACTIVATIONS, get_activation
 from repro.nn.layers import GemmShape
 from repro.nn.mlp import MLPSpec
 from repro.nn.preprocessing import one_hot
+
+from tests.conftest import plain_dominates
 
 SETTINGS = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -94,7 +96,7 @@ class TestParetoProperties:
         for i in frontier:
             for j in frontier:
                 if i != j:
-                    assert not dominates(points[i], points[j])
+                    assert not plain_dominates(points[i], points[j])
 
     @SETTINGS
     @given(points=vectors)
@@ -103,16 +105,16 @@ class TestParetoProperties:
         for index, point in enumerate(points):
             if index in frontier:
                 continue
-            assert any(dominates(points[i], point) for i in frontier)
+            assert any(plain_dominates(points[i], point) for i in frontier)
 
     @SETTINGS
     @given(points=vectors)
     def test_dominance_is_irreflexive_and_antisymmetric(self, points):
         for a in points[:10]:
-            assert not dominates(a, a)
+            assert not plain_dominates(a, a)
             for b in points[:10]:
-                if dominates(a, b):
-                    assert not dominates(b, a)
+                if plain_dominates(a, b):
+                    assert not plain_dominates(b, a)
 
 
 @st.composite
@@ -373,13 +375,13 @@ class TestArenaProperties:
     )
     def test_frontier_archive_best_accuracy_is_running_max(self, accuracies):
         from repro.core.candidate import CandidateEvaluation
-        from repro.core.fitness import FitnessObjective
+        from repro.core.objectives import ObjectiveSpec
         from repro.core.frontier import FrontierArchive
         from repro.core.genome import CoDesignSearchSpace
 
         space = CoDesignSearchSpace()
         rng = np.random.default_rng(0)
-        archive = FrontierArchive(objectives=[FitnessObjective.accuracy()])
+        archive = FrontierArchive(objectives=[ObjectiveSpec.accuracy()])
         running = 0.0
         for accuracy in accuracies:
             evaluation = CandidateEvaluation(

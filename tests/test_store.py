@@ -25,7 +25,8 @@ from repro.core.candidate import CandidateEvaluation
 from repro.core.config import ECADConfig, StoreConfig
 from repro.core.engine import EngineConfig, EvolutionaryEngine
 from repro.core.errors import ConfigurationError, StoreError
-from repro.core.fitness import FitnessEvaluator, FitnessObjective
+from repro.core.fitness import FitnessEvaluator
+from repro.core.objectives import ObjectiveSpec
 from repro.core.genome import CoDesignGenome, CoDesignSearchSpace
 from repro.core.search import CoDesignSearch
 from repro.datasets.registry import load_dataset
@@ -690,7 +691,7 @@ class TestStoredColumns:
 
 
 def _run_engine(space, evaluator, cache, seed=3, population=6, budget=18, initial=None):
-    fitness = FitnessEvaluator([FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()])
+    fitness = FitnessEvaluator([ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()])
     engine = EvolutionaryEngine(
         space=space,
         evaluator=evaluator,

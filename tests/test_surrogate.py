@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.config import ECADConfig, StoreConfig, SurrogateConfig
 from repro.core.errors import ConfigurationError
-from repro.core.fitness import FitnessObjective
+from repro.core.objectives import ObjectiveSpec
 from repro.core.search import CoDesignSearch
 from repro.core.strategy import SurrogateStrategy, get_strategy
 from repro.nn.training import TrainingConfig
@@ -329,7 +329,7 @@ class TestSurrogateStrategyEngaged:
 
 
 def _objectives():
-    return [FitnessObjective.accuracy(), FitnessObjective.fpga_throughput()]
+    return [ObjectiveSpec.accuracy(), ObjectiveSpec.fpga_throughput()]
 
 
 class TestOffspringScreener:
