@@ -257,43 +257,53 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = subparsers.add_parser(
         "serve", help="run the long-lived co-design job service (JSON HTTP API)"
     )
-    serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve_parser.add_argument("--port", type=int, default=8282, help="bind port (0 = ephemeral)")
+    # Every default comes from ServiceConfig, the one source of them.
+    service_defaults = ServiceConfig()
+    serve_parser.add_argument("--host", default=service_defaults.host, help="bind address")
+    serve_parser.add_argument(
+        "--port", type=int, default=service_defaults.port, help="bind port (0 = ephemeral)"
+    )
     serve_parser.add_argument(
         "--data-dir",
-        default="ecad-service",
+        default=service_defaults.data_dir,
         help="service state directory (job queue, per-job artifacts)",
     )
     serve_parser.add_argument(
         "--queue",
-        default="",
+        default=service_defaults.queue_path,
         metavar="PATH",
         help="job queue SQLite file (default: <data-dir>/queue.sqlite)",
     )
     serve_parser.add_argument(
         "--store",
-        default="",
+        default=service_defaults.store_path,
         metavar="PATH",
         help="shared persistent evaluation store used by every job",
     )
     serve_parser.add_argument(
         "--store-shards",
         type=int,
-        default=1,
+        default=service_defaults.store_shards,
         metavar="N",
         help="shard the shared store over N SQLite files so concurrent jobs "
         "on different problems never contend on one writer lock",
     )
     serve_parser.add_argument(
-        "--max-jobs", type=int, default=1, help="jobs executed concurrently"
+        "--max-jobs",
+        type=int,
+        default=service_defaults.max_concurrent_jobs,
+        help="jobs executed concurrently",
     )
     serve_parser.add_argument(
         "--backend",
-        default="threads",
+        default=service_defaults.backend,
         help=f"shared execution backend for candidate evaluation ({', '.join(available_backends())})",
     )
     serve_parser.add_argument(
-        "--eval-workers", type=int, default=4, help="worker-pool size of the shared backend"
+        "--eval-workers",
+        type=int,
+        default=service_defaults.eval_workers,
+        help="worker-pool size of the shared backend",
     )
 
     submit_parser = subparsers.add_parser(
@@ -1105,10 +1115,9 @@ def _command_arena(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------- service
-def _command_serve(args: argparse.Namespace) -> int:
-    from .service import CoDesignService
-
-    config = ServiceConfig(
+def service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The :class:`ServiceConfig` an ``ecad serve`` command line asks for."""
+    return ServiceConfig(
         host=args.host,
         port=args.port,
         data_dir=args.data_dir,
@@ -1119,7 +1128,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         eval_workers=args.eval_workers,
     )
-    service = CoDesignService(config, printer=print)
+
+
+def _command_serve(args: argparse.Namespace) -> int:
+    from .service import CoDesignService
+
+    service = CoDesignService(service_config(args), printer=print)
     service.start()
     try:
         service.serve_forever()

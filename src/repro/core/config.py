@@ -44,6 +44,7 @@ __all__ = [
     "SurrogateConfig",
     "ServiceConfig",
     "ECADConfig",
+    "MAX_STORE_SHARDS",
     "parse_override",
     "parse_override_value",
 ]
@@ -381,6 +382,12 @@ class OptimizationTargetConfig(JSONConfig):
         return cls(objectives=(("accuracy", 1.0, True), ("fpga_throughput", 1.0, True)))
 
 
+#: Upper bound on an evaluation store's shard count (``store.shards``,
+#: ``service.store_shards``, the store's own layouts) — beyond this,
+#: file-handle and fan-out costs dominate any lock-contention win.
+MAX_STORE_SHARDS = 1024
+
+
 @dataclass(frozen=True)
 class StoreConfig(JSONConfig):
     """Persistent evaluation-store settings (the ``store`` config section).
@@ -424,9 +431,9 @@ class StoreConfig(JSONConfig):
         object.__setattr__(self, "path", str(self.path))
         if self.warm_start < 0:
             raise ConfigurationError(f"warm_start must be >= 0, got {self.warm_start}")
-        if not (1 <= self.shards <= 1024):
+        if not (1 <= self.shards <= MAX_STORE_SHARDS):
             raise ConfigurationError(
-                f"store shards must be in [1, 1024], got {self.shards}"
+                f"store shards must be in [1, {MAX_STORE_SHARDS}], got {self.shards}"
             )
 
     @property
@@ -612,9 +619,9 @@ class ServiceConfig(JSONConfig):
             )
         if self.eval_workers < 1:
             raise ConfigurationError(f"eval_workers must be >= 1, got {self.eval_workers}")
-        if not (1 <= self.store_shards <= 1024):
+        if not (1 <= self.store_shards <= MAX_STORE_SHARDS):
             raise ConfigurationError(
-                f"store_shards must be in [1, 1024], got {self.store_shards}"
+                f"store_shards must be in [1, {MAX_STORE_SHARDS}], got {self.store_shards}"
             )
         if self.long_poll_timeout <= 0:
             raise ConfigurationError(

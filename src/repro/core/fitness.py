@@ -62,13 +62,6 @@ class FitnessResult:
     objectives: dict[str, float] = field(default_factory=dict)
     vector: ObjectiveVector | None = None
 
-    def objective(self, name: str) -> float:
-        """Raw value of one objective by name."""
-        key = str(name).strip().lower()
-        if key not in self.objectives:
-            raise KeyError(f"objective {name!r} was not part of this evaluation")
-        return self.objectives[key]
-
     @property
     def feasible(self) -> bool:
         """Whether the candidate satisfies every configured constraint."""

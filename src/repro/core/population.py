@@ -40,10 +40,6 @@ class Individual:
         """Scalar fitness used for selection and replacement."""
         return self.fitness.fitness
 
-    def objective(self, name: str) -> float:
-        """Raw objective value recorded at evaluation time."""
-        return self.fitness.objective(name)
-
 
 class Population:
     """Fixed-capacity, fitness-ordered population with steady-state replacement.

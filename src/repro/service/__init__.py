@@ -31,7 +31,7 @@ from .jobs import (
     JobRecord,
     deterministic_result_digest,
 )
-from .runtime import ServiceRuntime, SharedBackend, normalize_job_spec
+from .runtime import ServiceRuntime, normalize_job_spec
 
 __all__ = [
     "CoDesignService",
@@ -43,6 +43,5 @@ __all__ = [
     "TERMINAL_STATES",
     "deterministic_result_digest",
     "ServiceRuntime",
-    "SharedBackend",
     "normalize_job_spec",
 ]

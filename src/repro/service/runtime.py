@@ -5,8 +5,8 @@ spin-up on every invocation and throws the warm state away.
 :class:`ServiceRuntime` keeps that state alive across jobs:
 
 * **one execution backend** — a single warm thread/process pool shared by every
-  job's master (wrapped in :class:`SharedBackend` so per-search shutdowns
-  cannot tear it down);
+  job's master (wrapped in :class:`~repro.workers.backends.NonOwningBackend`
+  so per-search shutdowns cannot tear it down);
 * **one evaluation store** — a process-wide
   :class:`~repro.store.EvaluationStore` read through / written behind by all
   jobs, so work done for one tenant answers another's repeated candidates;
@@ -34,24 +34,10 @@ from ..core.errors import ConfigurationError, ServiceError
 from ..core.frontier import FrontierArchive
 from ..core.objectives import build_objective_vector
 from ..experiment import ExperimentRunner, ExperimentSpec, StopExperiment
-from ..workers.backends import ExecutionBackend, NonOwningBackend, resolve_backend
+from ..workers.backends import NonOwningBackend, resolve_backend
 from .jobs import JobQueue, JobRecord, deterministic_result_digest
 
-__all__ = ["SharedBackend", "ServiceRuntime", "normalize_job_spec"]
-
-
-class SharedBackend(NonOwningBackend):
-    """A non-owning view of an execution backend.
-
-    Every master shuts down the backend it was given when its search ends;
-    wrapping the service's warm pool in this proxy turns those per-search
-    shutdowns into no-ops so the pool survives across jobs.  The runtime
-    closes the real pool exactly once, at service stop.
-    """
-
-    def __init__(self, inner: ExecutionBackend) -> None:
-        super().__init__(inner)
-        self.name = getattr(inner, "name", "shared")
+__all__ = ["ServiceRuntime", "normalize_job_spec"]
 
 
 def normalize_job_spec(body: dict) -> tuple[dict, str]:
@@ -230,13 +216,13 @@ class ServiceRuntime:
         self._threads: list[threading.Thread] = []
         # Warm singletons: one pool, one store, shared by every job.
         self._pool = resolve_backend(config.backend, max_workers=config.eval_workers)
-        self.backend = SharedBackend(self._pool)
+        self.backend = NonOwningBackend(self._pool)
         self.store = None
         if config.store_path:
             from ..store import EvaluationStore
 
             self.store = EvaluationStore(
-                config.store_path, shards=getattr(config, "store_shards", 1)
+                config.store_path, shards=config.store_shards
             )
         # Cumulative counters aggregated from completed cell artifacts.
         self._metrics_lock = threading.Lock()

@@ -1,20 +1,10 @@
-"""The storage layer behind :class:`~repro.store.store.EvaluationStore`.
+"""One SQLite file of evaluations: the only code that talks to SQLite.
 
-:class:`StoreRepository` is the narrow protocol the rest of the system talks
-to — everything above it (the :class:`~repro.store.cache.StoreBackedCache`
-tier, warm-start seeding, surrogate training, the ``ecad store`` commands,
-the service's shared store) addresses rows purely by
-``(problem_digest, genome_key)`` and never sees the storage layout.  Two
-implementations ship today:
-
-* :class:`SQLiteRepository` — one SQLite file, the original (default)
-  layout; WAL journaling, busy timeouts and schema versioning exactly as
-  before.
-* :class:`~repro.store.sharded.ShardedStore` — N SQLite files routed by
-  problem-digest prefix, one independent writer lock per shard.
-
-A server-backed repository (Postgres, a result server) slots in behind the
-same protocol without touching any caller.
+:class:`SQLiteRepository` owns one database file (or ``:memory:``): its
+connection, schema versioning, WAL journaling, busy timeout and writer lock.
+:class:`~repro.store.store.EvaluationStore` holds one repository per shard
+file (a single-file store is one shard) and routes each call by problem
+digest; nothing else opens a store file.
 """
 
 from __future__ import annotations
@@ -23,7 +13,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator
 
 from ..core.candidate import CandidateEvaluation
 from ..core.errors import StoreError
@@ -33,7 +23,6 @@ from .serialize import StoredEvaluation, dumps, loads
 __all__ = [
     "SCHEMA_VERSION",
     "RawRow",
-    "StoreRepository",
     "SQLiteRepository",
     "on_disk_bytes",
 ]
@@ -98,82 +87,8 @@ def on_disk_bytes(path: str | Path) -> int:
     return total
 
 
-@runtime_checkable
-class StoreRepository(Protocol):
-    """What a storage backend must provide to sit under the store facade.
-
-    All rows are addressed by ``(problem_digest, genome_key)``; the
-    repository owns layout, locking and durability.  Implementations must be
-    safe for concurrent use from multiple threads.
-    """
-
-    path: str
-    readonly: bool
-
-    def put_many(self, problem_digest: str, evaluations: Iterable[CandidateEvaluation]) -> int:
-        """Persist a batch of evaluations; returns the number written."""
-        ...
-
-    def get(
-        self, problem_digest: str, genome_key: str, genome: CoDesignGenome | None = None
-    ) -> CandidateEvaluation | None:
-        """The stored evaluation for one candidate, or None when absent.
-
-        With ``genome``, a hit is served from the row and carries that
-        object (see :class:`~repro.store.serialize.StoredEvaluation`).
-        """
-        ...
-
-    def best(self, problem_digest: str, limit: int) -> list[CandidateEvaluation]:
-        """The highest-accuracy stored candidates of one problem."""
-        ...
-
-    def count(self, problem_digest: str | None = None) -> int:
-        """Number of stored evaluations (optionally for one problem only)."""
-        ...
-
-    def problems(self) -> list[dict]:
-        """Per-problem summary rows (digest, row count, best accuracy, span)."""
-        ...
-
-    def export_rows(self, problem_digest: str | None = None) -> list[dict]:
-        """Flat report rows of every stored evaluation (CSV-friendly)."""
-        ...
-
-    def export_rows_iter(
-        self, problem_digest: str | None = None, chunk_size: int = 256
-    ) -> Iterator[dict]:
-        """Streaming variant of :meth:`export_rows` (constant memory)."""
-        ...
-
-    def prune(
-        self,
-        keep_best: int | None = None,
-        older_than_seconds: float | None = None,
-        problem_digest: str | None = None,
-    ) -> int:
-        """Delete rows to keep the store small; returns rows deleted."""
-        ...
-
-    def stats(self) -> dict:
-        """Whole-store summary: schema, row counts, problems, on-disk size."""
-        ...
-
-    def iter_raw_rows(self, chunk_size: int = 256) -> Iterator[RawRow]:
-        """Every stored row in raw column form (for migration/resharding)."""
-        ...
-
-    def put_raw_rows(self, rows: Iterable[RawRow]) -> int:
-        """Insert raw rows verbatim, preserving timestamps (migration path)."""
-        ...
-
-    def close(self) -> None:
-        """Release the backend's resources (idempotent)."""
-        ...
-
-
 class SQLiteRepository:
-    """One SQLite file of evaluations — the original, default layout.
+    """One SQLite file of evaluations: a single-file store, or one shard.
 
     Parameters
     ----------
@@ -393,13 +308,13 @@ class SQLiteRepository:
         return int(row[0])
 
     def problems(self) -> list[dict]:
-        """Per-problem summary rows, most rows first."""
+        """Per-problem summary rows, in no particular order."""
         with self._lock:
             try:
                 rows = self._connection.execute(
                     "SELECT problem_digest, COUNT(*), MAX(accuracy), "
                     "       SUM(evaluation_seconds), MIN(created_at), MAX(created_at) "
-                    "FROM evaluations GROUP BY problem_digest ORDER BY COUNT(*) DESC"
+                    "FROM evaluations GROUP BY problem_digest"
                 ).fetchall()
             except sqlite3.Error as exc:
                 raise StoreError(f"cannot read evaluation store {self.path}: {exc}") from exc
@@ -415,71 +330,40 @@ class SQLiteRepository:
             for digest, count, best, seconds, first, last in rows
         ]
 
-    def export_rows(self, problem_digest: str | None = None) -> list[dict]:
-        """Flat report rows of every stored evaluation (CSV-friendly).
+    def export_rows_iter(self, problem_digest: str, chunk_size: int = 256) -> Iterator[dict]:
+        """Stream one problem's export rows in ``chunk_size`` batches.
 
-        Each row carries the problem digest, genome key, the candidate
-        summary (:meth:`~repro.core.candidate.CandidateEvaluation.summary`)
-        and the write timestamp.  Materializes everything; prefer
-        :meth:`export_rows_iter` on large stores.
+        Each row carries the problem digest, the write timestamp and the
+        candidate summary (:meth:`~repro.core.candidate.CandidateEvaluation.summary`),
+        ordered by accuracy (best first), then genome key.
         """
-        return list(self.export_rows_iter(problem_digest=problem_digest))
-
-    def export_rows_iter(
-        self, problem_digest: str | None = None, chunk_size: int = 256
-    ) -> Iterator[dict]:
-        """Stream export rows in ``chunk_size`` batches (constant memory).
-
-        Rows are ordered by problem digest, then accuracy (best first), then
-        genome key — stable across layouts, so a sharded store exports the
-        same sequence as a single file holding the same rows.
-        """
-        for digest, payload, created_at in self._iter_payload_rows(problem_digest, chunk_size):
-            record = {"problem_digest": digest, "created_at": created_at}
+        rows = self._iter_query(
+            "SELECT payload, created_at FROM evaluations WHERE problem_digest = ? "
+            "ORDER BY accuracy DESC, genome_key",
+            (str(problem_digest),),
+            chunk_size,
+        )
+        for payload, created_at in rows:
+            record = {"problem_digest": problem_digest, "created_at": created_at}
             record.update(loads(payload).summary())
             yield record
 
-    def _iter_payload_rows(
-        self, problem_digest: str | None, chunk_size: int
-    ) -> Iterator[tuple]:
-        with self._lock:
-            try:
-                if problem_digest is None:
-                    cursor = self._connection.execute(
-                        "SELECT problem_digest, payload, created_at FROM evaluations "
-                        "ORDER BY problem_digest, accuracy DESC, genome_key"
-                    )
-                else:
-                    cursor = self._connection.execute(
-                        "SELECT problem_digest, payload, created_at FROM evaluations "
-                        "WHERE problem_digest = ? "
-                        "ORDER BY accuracy DESC, genome_key",
-                        (str(problem_digest),),
-                    )
-            except sqlite3.Error as exc:
-                raise StoreError(f"cannot read evaluation store {self.path}: {exc}") from exc
-        while True:
-            with self._lock:
-                try:
-                    chunk = cursor.fetchmany(max(int(chunk_size), 1))
-                except sqlite3.Error as exc:
-                    raise StoreError(
-                        f"cannot read evaluation store {self.path}: {exc}"
-                    ) from exc
-            if not chunk:
-                return
-            yield from chunk
-
     def iter_raw_rows(self, chunk_size: int = 256) -> Iterator[RawRow]:
         """Every stored row in raw column form (for migration/resharding)."""
+        return self._iter_query(
+            "SELECT problem_digest, genome_key, accuracy, "
+            "       fpga_outputs_per_second, evaluation_seconds, "
+            "       created_at, payload "
+            "FROM evaluations ORDER BY problem_digest, genome_key",
+            (),
+            chunk_size,
+        )
+
+    def _iter_query(self, statement: str, params: tuple, chunk_size: int) -> Iterator[tuple]:
+        """The rows of one query, fetched ``chunk_size`` at a time."""
         with self._lock:
             try:
-                cursor = self._connection.execute(
-                    "SELECT problem_digest, genome_key, accuracy, "
-                    "       fpga_outputs_per_second, evaluation_seconds, "
-                    "       created_at, payload "
-                    "FROM evaluations ORDER BY problem_digest, genome_key"
-                )
+                cursor = self._connection.execute(statement, params)
             except sqlite3.Error as exc:
                 raise StoreError(f"cannot read evaluation store {self.path}: {exc}") from exc
         while True:
@@ -535,26 +419,6 @@ class SQLiteRepository:
             except sqlite3.Error as exc:
                 raise StoreError(f"cannot prune evaluation store {self.path}: {exc}") from exc
         return int(cursor.rowcount)
-
-    # ------------------------------------------------------------- stats
-    def stats(self) -> dict:
-        """Whole-store summary: schema, row counts, problems, on-disk size.
-
-        ``size_bytes`` counts the main database file *plus* the ``-wal`` /
-        ``-shm`` sidecars WAL mode creates, so a store mid-write reports its
-        true disk footprint.
-        """
-        problems = self.problems()
-        return {
-            "path": self.path,
-            "schema_version": SCHEMA_VERSION,
-            "readonly": self.readonly,
-            "shards": 1,
-            "evaluations": sum(p["evaluations"] for p in problems),
-            "problems": len(problems),
-            "size_bytes": on_disk_bytes(self.path),
-            "stored_eval_seconds": sum(p["stored_eval_seconds"] for p in problems),
-        }
 
     # ---------------------------------------------------------- lifecycle
     def close(self) -> None:

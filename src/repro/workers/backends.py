@@ -268,13 +268,14 @@ class NonOwningBackend(ExecutionBackend):
     finish.  When several runs share one pool (the arena runner, the job
     service), each run gets a ``NonOwningBackend`` wrapper instead: work is
     delegated to the real pool, ``shutdown`` is a no-op, and whoever created
-    the pool remains responsible for tearing it down.
+    the pool remains responsible for tearing it down.  The wrapper takes
+    its inner backend's ``name``, so reports (the service's ``/metrics``)
+    name the pool that does the work.
     """
-
-    name = "non_owning"
 
     def __init__(self, inner: ExecutionBackend) -> None:
         self.inner = inner
+        self.name = inner.name
 
     def submit(self, function: Callable[[RequestT], ResultT], item: RequestT) -> "Future[ResultT]":
         return self.inner.submit(function, item)

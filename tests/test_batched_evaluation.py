@@ -30,7 +30,6 @@ from repro.nn import batched as nn_batched
 from repro.nn import reference
 from repro.nn.preprocessing import train_test_split
 from repro.nn.training import TrainingConfig
-from repro.service.runtime import SharedBackend
 from repro.workers.backends import (
     NonOwningBackend,
     ProcessPoolBackend,
@@ -556,13 +555,14 @@ class TestMasterBatch:
         assert master._shared_dataset is None
         master.shutdown()
 
-    @pytest.mark.parametrize("wrapper", [NonOwningBackend, SharedBackend])
     def test_wrapped_process_pool_ships_shared_dataset(
-        self, wrapper, tiny_dataset, fast_training_config, small_grid
+        self, tiny_dataset, fast_training_config, small_grid
     ):
         pool = ProcessPoolBackend(max_workers=2)
         serial = self._master(tiny_dataset, fast_training_config, backend="serial")
-        wrapped = self._master(tiny_dataset, fast_training_config, backend=wrapper(pool))
+        wrapped = self._master(
+            tiny_dataset, fast_training_config, backend=NonOwningBackend(pool)
+        )
         try:
             genomes = _genomes(small_grid)[:3]
             request = wrapped.build_request(genomes[0])

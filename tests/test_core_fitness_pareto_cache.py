@@ -134,9 +134,6 @@ class TestFitnessEvaluator:
         candidate = make_fake_evaluation(_genome(16), accuracy=0.9)
         result = evaluator.score(candidate, reference)
         assert result.objectives["accuracy"] == pytest.approx(0.9)
-        assert result.objective("accuracy") == pytest.approx(0.9)
-        with pytest.raises(KeyError):
-            result.objective("fpga_throughput")
 
     def test_duplicate_or_empty_objectives_rejected(self):
         with pytest.raises(ConfigurationError):

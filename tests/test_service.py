@@ -265,6 +265,9 @@ class TestServiceIntegration:
         health = client.health()
         assert health["status"] == "ok"
         assert health["version"] == __version__
+        # The shared pool sits behind a non-owning wrapper; /metrics names
+        # the pool itself.
+        assert client.metrics()["backend"] == "thread_pool"
 
     def test_submit_runs_to_done_with_digest(self, service):
         _, client = service
@@ -497,6 +500,11 @@ class TestServiceConfig:
         assert loaded.resolved_queue_path == tmp_path / "svc" / "queue.sqlite"
         explicit = ServiceConfig(queue_path=str(tmp_path / "elsewhere.sqlite"))
         assert explicit.resolved_queue_path == tmp_path / "elsewhere.sqlite"
+
+    def test_bare_serve_command_parses_to_the_defaults(self):
+        from repro.cli import build_parser, service_config
+
+        assert service_config(build_parser().parse_args(["serve"])) == ServiceConfig()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

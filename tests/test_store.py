@@ -1114,20 +1114,34 @@ class TestShardedStore:
         return single, sharded, by_problem
 
     def test_each_problem_lives_in_exactly_one_shard(self, tmp_path, small_search_space):
-        from repro.store import ShardedStore
+        from repro.store import shard_index
 
         store = EvaluationStore(tmp_path / "sharded", shards=4)
         for index, problem in enumerate(self.PROBLEMS):
             store.put_many(problem, _evaluations(small_search_space, 3, seed=index))
-        repository = store.repository
-        assert isinstance(repository, ShardedStore)
-        for problem in self.PROBLEMS:
-            owner = repository.shard_index(problem)
-            for shard_index_, shard_path in enumerate(repository.shard_paths):
-                with EvaluationStore(shard_path) as shard:
-                    expected = 3 if shard_index_ == owner else 0
-                    assert shard.count(problem) == expected
         store.close()
+        for problem in self.PROBLEMS:
+            owner = shard_index(problem, 4)
+            for index in range(4):
+                shard_path = tmp_path / "sharded" / f"shard-{index:03d}.sqlite"
+                with EvaluationStore(shard_path, readonly=True) as shard:
+                    expected = 3 if index == owner else 0
+                    assert shard.count(problem) == expected
+
+    def test_prune_one_problem_matches_single_file(self, tmp_path, small_search_space):
+        single, sharded, by_problem = self._populated_pair(tmp_path, small_search_space)
+        try:
+            problem = self.PROBLEMS[2]
+            assert single.prune(keep_best=1, problem_digest=problem) == 3
+            assert sharded.prune(keep_best=1, problem_digest=problem) == 3
+            assert sharded.count(problem) == 1
+            assert sharded.count() == sum(len(v) for v in by_problem.values()) - 3
+            assert _strip_timestamps(sharded.export_rows()) == _strip_timestamps(
+                single.export_rows()
+            )
+        finally:
+            single.close()
+            sharded.close()
 
     def test_sharded_layout_is_auto_detected_on_reopen(self, tmp_path, small_search_space):
         path = tmp_path / "sharded"
@@ -1319,6 +1333,21 @@ class TestStoreMigration:
         with EvaluationStore(path) as store:
             assert store.shards == 4
             assert store.count() == total
+
+    def test_migrating_to_one_shard_writes_a_directory(self, tmp_path, small_search_space):
+        from repro.store import migrate_store
+
+        path = tmp_path / "store.sqlite"
+        total = self._seed_single(path, small_search_space)
+        report = migrate_store(path, shards=1, output_path=tmp_path / "one")
+        assert report["rows"] == total
+        assert (tmp_path / "one").is_dir()
+        assert (tmp_path / "one" / "layout.json").is_file()
+        with EvaluationStore(tmp_path / "one") as migrated:
+            assert migrated.shards == 1
+            assert migrated.count() == total
+            with EvaluationStore(path, readonly=True) as single:
+                assert migrated.export_rows() == single.export_rows()
 
     def test_resharding_a_sharded_store(self, tmp_path, small_search_space):
         from repro.store import migrate_store

@@ -240,12 +240,12 @@ class TestBackends:
         assert resolve_backend("processes", max_workers=2).max_workers == 2
 
     def test_process_pool_of_sees_through_non_owning_wrappers(self):
-        from repro.service.runtime import SharedBackend
-
         pool = ProcessPoolBackend(max_workers=2)
         assert process_pool_of(pool) is pool
         assert process_pool_of(NonOwningBackend(pool)) is pool
-        assert process_pool_of(SharedBackend(NonOwningBackend(pool))) is pool
+        assert process_pool_of(NonOwningBackend(NonOwningBackend(pool))) is pool
+        # A wrapper reports the pool it wraps (the service's /metrics backend).
+        assert NonOwningBackend(NonOwningBackend(pool)).name == pool.name
         threads = ThreadPoolBackend(max_workers=2)
         assert process_pool_of(threads) is None
         assert process_pool_of(NonOwningBackend(threads)) is None
